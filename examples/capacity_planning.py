@@ -126,6 +126,8 @@ def run_with_server(args, url: str) -> bool:
         print(f"server unavailable ({exc}); falling back to the library",
               file=sys.stderr)
         return False
+    finally:
+        client.close()
 
 
 def main() -> None:

@@ -102,6 +102,11 @@ class Job:
     scale: float = 1.0
     warps_per_sm: int = 4
     seed: int = 0
+    #: Event budget.  An execution constraint, not a result-determining
+    #: input — a run that exhausts it raises instead of returning a
+    #: truncated result — so it is excluded from
+    #: :func:`~repro.harness.result_cache.job_key` and checked against a
+    #: stored result's ``events_fired`` on lookup instead.
     max_events: int = DEFAULT_MAX_EVENTS
     #: Peak-RSS budget in MB; ``None`` disables enforcement.  An
     #: execution constraint, not a result-determining input — it is
@@ -714,7 +719,7 @@ def run_jobs(jobs: Sequence[Job],
         pending = []
         for job in jobs:
             key = keys[job.label] = job_key(job)
-            cached = cache.get(key)
+            cached = cache.get(key, job.max_events)
             if cached is None:
                 pending.append(job)
             else:
@@ -799,7 +804,7 @@ def run_jobs_chunked(jobs: Sequence[Job],
         pending = []
         for job in jobs:
             key = keys[job.label] = job_key(job)
-            cached = cache.get(key)
+            cached = cache.get(key, job.max_events)
             if cached is None:
                 pending.append(job)
             else:

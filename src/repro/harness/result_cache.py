@@ -14,18 +14,37 @@ Key scheme
 :func:`job_key` hashes the canonical JSON of::
 
     {format: CACHE_FORMAT, names, config: dataclasses.asdict(config),
-     scale, warps_per_sm, seed, max_events}
+     scale, warps_per_sm, seed}
 
 with sorted keys, so the key is insensitive to field ordering but
 sensitive to *every* config field — flipping one latency or policy knob
 produces a different key (an automatic invalidation; no manual cache
-busting).  ``CACHE_FORMAT`` is bumped whenever the simulator's observable
-behaviour changes, orphaning every stale entry at once.  Format 2 added
-``max_events`` to the payload (it can truncate a simulation, so it is
-result-determining) and the ``wall_seconds`` field to stored results.
-Format 3 added the ``*.lookups`` TLB counters and the per-tenant
-``*.inflight_at_stop`` snapshot keys that the result validator's
-conservation identities rely on.
+busting).
+
+The job's execution limits stay out of the key.  ``max_rss_mb`` only
+decides whether a run may finish; so does ``max_events``, because a
+simulation that exhausts its event budget raises
+:class:`~repro.engine.simulator.EventBudgetExceeded` instead of
+returning a truncated result.  The budget therefore decides whether a
+result exists, never what it is, and one rule in
+:meth:`ResultCache.get` keeps the cache honest about it: a stored
+result answers a job only if its ``events_fired`` is at most the job's
+``max_events``.  A result that does not fit counts as a miss, so the
+job runs — and raises — exactly as it would uncached.  A campaign
+(200 M events) and ``repro serve`` (50 M) share every entry this way.
+
+Format history
+--------------
+
+``CACHE_FORMAT`` is bumped whenever the simulator's observable
+behaviour or the key scheme changes, orphaning every stale entry at
+once.  Format 2 added ``max_events`` to the key and the
+``wall_seconds`` field to stored results.  Format 3 added the
+``*.lookups`` TLB counters and the per-tenant ``*.inflight_at_stop``
+snapshot keys that the result validator's conservation identities rely
+on.  Format 4 added the hoisted per-SM ``l1tlb.smN.mshr_stalls``
+counters.  Format 5 took ``max_events`` back out of the key (see
+above).
 
 Storage is one checksummed entry per result under
 ``<root>/<key[:2]>/<key>.pkl``, written atomically (temp file +
@@ -98,10 +117,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness import faults
 from repro.harness.fsutil import atomic_write_bytes, atomic_write_json
 
-#: Bump to orphan every existing cache entry (simulator behaviour change).
-#: 4: snapshots gained the hoisted per-SM ``l1tlb.smN.mshr_stalls``
-#: counters (present at zero), so cached stats dicts changed shape.
-CACHE_FORMAT = 4
+#: Bump to orphan every existing cache entry (simulator behaviour or
+#: key scheme change; the module docstring keeps the history).
+#: 5: ``max_events`` left the key; :meth:`ResultCache.get` checks it.
+CACHE_FORMAT = 5
 
 #: Entry envelope: magic, 4-byte BE format version, sha256(payload), payload.
 ENTRY_MAGIC = b"RPROCACHE1\n"
@@ -146,7 +165,6 @@ def job_key(job) -> str:
         "scale": job.scale,
         "warps_per_sm": job.warps_per_sm,
         "seed": job.seed,
-        "max_events": job.max_events,
     }
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -226,12 +244,21 @@ class ResultCache:
             except OSError:
                 pass
 
-    def get(self, key: str) -> Optional[object]:
+    def get(self, key: str,
+            max_events: Optional[int] = None) -> Optional[object]:
         """The cached result for ``key``, or ``None`` on a miss.
 
         A present-but-damaged entry (torn write survivor, bit flip,
         stale format, legacy un-checksummed layout) is quarantined and
         reported as a miss — corruption recomputes, never raises.
+
+        Every caller answering a job passes its ``max_events``, and a
+        stored result answers the job only if ``events_fired <=
+        max_events``.  A run either completes within its budget or
+        raises, and the simulator is deterministic, so that result is
+        exactly what the job would return; a smaller budget would raise.
+        A result the budget does not cover is a miss, left in place for
+        the jobs it does answer.
         """
         path = self._path(key)
         try:
@@ -248,6 +275,9 @@ class ResultCache:
         except Exception:
             # CacheIntegrityError, truncated pickle, renamed classes, ...
             self._quarantine(key, path)
+            self.misses += 1
+            return None
+        if max_events is not None and result.events_fired > max_events:
             self.misses += 1
             return None
         self.hits += 1

@@ -113,7 +113,7 @@ class Session:
         if self.disk_cache is not None:
             job = self.job_for(names, config)
             disk_key = job_key(job)
-            cached = self.disk_cache.get(disk_key)
+            cached = self.disk_cache.get(disk_key, job.max_events)
             if cached is not None:
                 self._run_cache[key] = cached
                 return cached

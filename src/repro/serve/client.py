@@ -11,15 +11,20 @@ back the typed :class:`~repro.serve.queries.QueryResponse`.  Transport
 failures raise :class:`ServeUnavailable` (connection refused, timeout,
 non-JSON body); *typed degraded answers are not errors* — a response
 with ``status="timeout"`` is the service working as designed.
+
+Each :class:`ServeClient` keeps one persistent HTTP/1.1 connection, so
+an exact-tier answer costs one round trip rather than a TCP handshake
+and a fresh server thread.  A client is not thread-safe: give each
+thread its own.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import urllib.error
-import urllib.request
-from typing import Optional
+from typing import Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.serve.queries import PlacementQuery, QueryResponse
 
@@ -43,12 +48,43 @@ def server_url(explicit: Optional[str] = None) -> Optional[str]:
 
 
 class ServeClient:
-    """HTTP client bound to one server base URL."""
+    """HTTP client bound to one server base URL (``http://host:port``).
+
+    Requests share one kept-alive connection, opened on first use and
+    reopened after the server closes it.  One client per thread; use it
+    as a context manager, or call :meth:`close`, to release the
+    connection.
+    """
 
     def __init__(self, base_url: str,
                  timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"not an http://host[:port] URL: {base_url!r}")
+        self._prefix = parts.path
+        # Connects lazily on the first request, and again on the next
+        # one after close() or a ``Connection: close`` reply.
+        self._conn = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=timeout_s)
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        self._conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _exchange(self, method: str, path: str, data: Optional[bytes],
+                  headers: dict) -> Tuple[int, bytes]:
+        self._conn.request(method, self._prefix + path, body=data,
+                           headers=headers)
+        reply = self._conn.getresponse()
+        return reply.status, reply.read()
 
     def _request(self, path: str, body: Optional[dict] = None) -> dict:
         url = f"{self.base_url}{path}"
@@ -57,22 +93,29 @@ class ServeClient:
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
+        method = "GET" if body is None else "POST"
+        reused = self._conn.sock is not None
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout_s) as reply:
-                blob = reply.read()
-        except urllib.error.HTTPError as exc:
-            blob = exc.read()
+            try:
+                status, blob = self._exchange(method, path, data, headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server dropped the idle connection.  Resending is
+                # safe: a query is idempotent by its key, so the resend
+                # coalesces or hits.
+                self.close()
+                status, blob = self._exchange(method, path, data, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            self.close()  # the connection's state is unknown
+            raise ServeUnavailable(f"{url} unreachable: {exc}")
+        if not 200 <= status < 300:
             try:
                 detail = json.loads(blob).get("error", "")
             except ValueError:
                 detail = ""
             raise ServeUnavailable(
-                f"{url} -> HTTP {exc.code}"
-                + (f": {detail}" if detail else ""))
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServeUnavailable(f"{url} unreachable: {exc}")
+                f"{url} -> HTTP {status}" + (f": {detail}" if detail else ""))
         try:
             return json.loads(blob)
         except ValueError as exc:

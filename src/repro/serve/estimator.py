@@ -122,7 +122,12 @@ class ServeIndex:
     def record(self, names: Sequence[str], policy: str,
                l2_tlb_entries: Optional[int], walker_count: Optional[int],
                metrics: dict) -> None:
-        """Fold one simulated result's metrics into the index."""
+        """Fold one simulated result's metrics into the index.
+
+        Writes the index file only when the entry is new or changed: an
+        exact-tier hit re-records what the index already holds, and
+        rewriting the whole file for it would cost more than the hit.
+        """
         entry = {
             "names": list(names), "policy": policy,
             "l2_tlb_entries": l2_tlb_entries, "walker_count": walker_count,
@@ -133,6 +138,8 @@ class ServeIndex:
         }
         key = index_key(names, policy, l2_tlb_entries, walker_count)
         with self._lock:
+            if self._entries.get(key) == entry:
+                return
             self._entries[key] = entry
             self._save_locked()
 

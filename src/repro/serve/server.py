@@ -4,8 +4,9 @@
 objects through three tiers, cheapest first:
 
 1. **exact** — the content-addressed :class:`ResultCache` already holds
-   the simulation result (same ``job_key`` as every campaign run, so a
-   regenerated paper warms the service for free);
+   the simulation result (same ``job_key`` as every campaign run, which
+   leaves the event budget out, so a regenerated paper at the same
+   scale and warps warms the service for free);
 2. **simulated** — the query is admitted to a bounded queue and a
    background executor runs it through the supervised campaign
    dispatcher (:func:`~repro.harness.parallel.run_jobs`), streaming the
@@ -29,6 +30,7 @@ checkpoints first and wakes every waiter with a typed degraded answer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import signal
 import threading
@@ -60,7 +62,9 @@ SERVE_DIR = "serve"
 
 #: Default event budget for serve-built jobs.  Interactive queries want
 #: bounded answers, not open-ended paper-accuracy sweeps; callers sizing
-#: a production service can raise it.
+#: a production service can raise it.  The budget is not part of the job
+#: key, so every cached result that fits it — a campaign's included —
+#: answers exactly.
 DEFAULT_SERVE_MAX_EVENTS = 50_000_000
 
 
@@ -167,7 +171,7 @@ class ReproServer:
         if self._started:
             return
         for key, job in self.manifest.load():
-            if self.cache.get(key) is not None:
+            if self.cache.get(key, job.max_events) is not None:
                 continue  # finished after the checkpoint was written
             ticket, _shed = self.queue.submit(job, key)
             if ticket is not None:
@@ -286,17 +290,12 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     def _job_for(self, query: PlacementQuery, policy: str) -> Job:
-        config = query.config().with_policy(policy)
-        job = Job(label="provisional", names=query.workloads, config=config,
-                  scale=self.scale, warps_per_sm=self.warps_per_sm,
-                  max_events=self.max_events)
-        jkey = job_key(job)
-        # The label carries the cache key so supervision's per-label
-        # ledgers (attempts, quarantine) stay distinct per configuration.
-        label = f"serve:{'.'.join(query.workloads)}/{policy}:{jkey[:8]}"
-        return Job(label=label, names=job.names, config=job.config,
-                   scale=job.scale, warps_per_sm=job.warps_per_sm,
-                   seed=job.seed, max_events=job.max_events)
+        """The job one (mix, policy) component resolves to.  Its label is
+        provisional: :meth:`_component` labels it once it has the key."""
+        return Job(label="provisional", names=query.workloads,
+                   config=query.config().with_policy(policy),
+                   scale=self.scale, warps_per_sm=self.warps_per_sm,
+                   max_events=self.max_events)
 
     def _estimate(self, query: PlacementQuery,
                   policy: str) -> Optional[Dict]:
@@ -310,7 +309,7 @@ class ReproServer:
         job = self._job_for(query, policy)
         jkey = job_key(job)
 
-        cached = self.cache.get(jkey)
+        cached = self.cache.get(jkey, job.max_events)
         if cached is not None:
             payload = metrics_from_result(query.workloads, cached)
             self.index.record(query.workloads, policy,
@@ -341,6 +340,11 @@ class ReproServer:
             return (STATUS_REJECTED, None,
                     "breaker open and no estimate basis yet")
 
+        # The label carries the cache key so supervision's per-label
+        # ledgers (attempts, quarantine) stay distinct per configuration.
+        job = dataclasses.replace(
+            job, label=f"serve:{'.'.join(query.workloads)}/{policy}"
+                       f":{jkey[:8]}")
         self._ticket_meta[jkey] = (query.workloads, policy,
                                    query.l2_tlb_entries, query.walker_count)
         ticket, _shed = self.queue.submit(job, jkey, probe=probe)
@@ -432,17 +436,28 @@ class ReproServer:
 # HTTP front-end (stdlib only)
 # ----------------------------------------------------------------------
 class _ServeHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with keep-alive: one handler thread serves every request
+    a client sends over its connection."""
+
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle's algorithm on,
+    #: the second waits for the client's delayed ACK of the first (about
+    #: 40 ms) on every reply of a kept-alive connection.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # noqa: N802 (stdlib name)
         pass  # the health endpoint is the observability surface
 
-    def _send_json(self, status: int, body: Dict) -> None:
+    def _send_json(self, status: int, body: Dict,
+                   close: bool = False) -> None:
         blob = json.dumps(body, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
+        if close:
+            # Also sets close_connection: the handler stops reading.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
@@ -457,13 +472,23 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self):  # noqa: N802 (stdlib name)
+        # Read the body before any reply: on a kept-alive connection an
+        # unread body would be parsed as the next request.
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+        except ValueError as exc:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request.
+            self._send_json(400, {"error": str(exc)}, close=True)
+            return
+        blob = self.rfile.read(length)
         if self.path != "/query":
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
-            query = PlacementQuery.from_dict(body)
+            query = PlacementQuery.from_dict(json.loads(blob or b"{}"))
         except (ValueError, KeyError) as exc:
             self._send_json(400, {"error": str(exc)})
             return

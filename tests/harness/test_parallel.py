@@ -1,5 +1,7 @@
 """Tests for the parallel batch runner."""
 
+import dataclasses
+
 import pytest
 
 import repro.harness.parallel as parallel_module
@@ -97,10 +99,14 @@ class TestMaxEvents:
         with pytest.raises(RuntimeError, match="max_events"):
             run_jobs([tiny_job("cut", max_events=10)], workers=1)
 
-    def test_max_events_changes_job_key(self):
-        # A truncated run must never satisfy a full run from the cache.
-        assert (job_key(tiny_job("a", max_events=1000))
-                != job_key(tiny_job("a")))
+    def test_max_events_leaves_job_key(self):
+        # A run that exhausts its budget raises rather than returning a
+        # truncated result, so the budget is an execution limit like
+        # max_rss_mb: budget variants share one cache entry.
+        job = tiny_job("a")
+        assert job_key(tiny_job("a", max_events=1000)) == job_key(job)
+        assert (job_key(dataclasses.replace(job, max_rss_mb=64.0))
+                == job_key(job))
 
     def test_session_jobs_carry_session_max_events(self):
         from repro.harness.runner import Session

@@ -6,8 +6,9 @@ import pytest
 
 import repro.harness.parallel as parallel_module
 from repro.engine.config import GpuConfig
+from repro.engine.simulator import EventBudgetExceeded
 from repro.harness import Session, faults
-from repro.harness.parallel import Job, run_jobs
+from repro.harness.parallel import Job, run_jobs, run_jobs_chunked
 from repro.harness.result_cache import (
     CACHE_FORMAT,
     COST_EMA_ALPHA,
@@ -40,7 +41,6 @@ class TestJobKey:
         tiny_job(policy="dws"),
         tiny_job(seed=1),
         tiny_job(scale=SCALE * 2),
-        tiny_job(max_events=1000),
     ])
     def test_any_content_change_changes_key(self, variant):
         assert job_key(variant) != job_key(tiny_job())
@@ -204,6 +204,70 @@ class TestRunJobsCache:
         assert cache.hits == 2
         for label in serial:
             assert warm[label].total_cycles == serial[label].total_cycles
+
+
+class TestEventBudget:
+    """``max_events`` decides whether a result exists, never what it is:
+    it stays out of the key, and a stored result answers only the jobs
+    whose budget covers the events it fired."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A cache holding one result filled under the default budget."""
+        cache = ResultCache(tmp_path)
+        result = run_jobs([tiny_job()], workers=1, cache=cache)["job"]
+        assert cache.stores == 1
+        return cache, result
+
+    def test_exhausted_budget_raises_and_stores_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(EventBudgetExceeded):
+            run_jobs([tiny_job(max_events=10)], workers=1, cache=cache)
+        assert cache.stores == 0 and len(cache) == 0
+
+    def test_covering_budget_is_answered_from_the_cache(self, stored,
+                                                        monkeypatch):
+        cache, result = stored
+        # The tightest budget that covers the run: it would complete
+        # uncached too, on exactly its last event.
+        job = tiny_job(max_events=result.events_fired)
+        assert cache.get(job_key(job), job.max_events) is not None
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("simulated a job the cache answers")
+
+        monkeypatch.setattr(parallel_module, "_execute", boom)
+        monkeypatch.setattr(parallel_module, "_execute_unmemoized", boom)
+        for run in (run_jobs, run_jobs_chunked):
+            hits = cache.hits
+            answer = run([job], workers=1, cache=cache)["job"]
+            assert cache.hits == hits + 1
+            assert answer.stats == result.stats
+        session = Session(scale=SCALE, warps_per_sm=2,
+                          max_events=result.events_fired,
+                          cache_dir=str(cache.root))
+        session.run_names(job.names, job.config)
+        assert session.simulations_executed == 0
+        assert cache.stores == 1
+
+    def test_smaller_budget_misses_and_raises_as_uncached(self, stored):
+        cache, result = stored
+        job = tiny_job(max_events=result.events_fired - 1)
+        for run in (run_jobs, run_jobs_chunked):
+            hits, misses = cache.hits, cache.misses
+            with pytest.raises(EventBudgetExceeded):
+                run([job], workers=1, cache=cache)
+            assert cache.hits == hits and cache.misses == misses + 1
+        session = Session(scale=SCALE, warps_per_sm=2,
+                          max_events=job.max_events,
+                          cache_dir=str(cache.root))
+        with pytest.raises(EventBudgetExceeded):
+            session.run_names(job.names, job.config)
+        assert session.disk_cache.hits == 0
+        assert session.disk_cache.misses == 1
+        # The entry stays for the budgets it does answer.
+        assert cache.get(job_key(job), result.events_fired) is not None
+        assert cache.stores == 1
 
 
 class TestCostModel:

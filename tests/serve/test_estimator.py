@@ -87,6 +87,34 @@ class TestServeIndex:
         assert len(reloaded) == 1
         assert reloaded.estimate(("GUPS",), "baseline")["total_ipc"] == 2.5
 
+    def test_unchanged_entry_leaves_the_file_unwritten(self, tmp_path,
+                                                       monkeypatch):
+        import repro.serve.estimator as estimator_module
+
+        writes = []
+        real_write = estimator_module.atomic_write_json
+
+        def counting_write(path, *args, **kwargs):
+            writes.append(path)
+            real_write(path, *args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "atomic_write_json",
+                            counting_write)
+        ServeIndex(tmp_path).record(("GUPS",), "baseline", None, None,
+                                    metrics(2.5, walk=512.25))
+        assert len(writes) == 1
+        # An exact-tier hit re-records the same metrics, also after a
+        # restart has reloaded the index from its JSON file.
+        index = ServeIndex(tmp_path)
+        index.record(("GUPS",), "baseline", None, None,
+                     metrics(2.5, walk=512.25))
+        assert len(writes) == 1
+        index.record(("GUPS",), "baseline", None, None, metrics(2.6))
+        index.record(("GUPS",), "dws", None, None, metrics(2.6))
+        assert len(writes) == 3
+        assert ServeIndex(tmp_path).estimate(
+            ("GUPS",), "baseline")["total_ipc"] == 2.6
+
     def test_corrupt_index_file_starts_empty(self, tmp_path):
         (tmp_path / INDEX_FILE).write_text("{not json")
         index = ServeIndex(tmp_path)
