@@ -43,12 +43,6 @@ suite pairs are miss-dominated at their standard footprints and fold
 rarely; the ``light_resident`` pair is built to fold on nearly every
 access.
 
-Each pair also records a **sharded-engine speedup curve** at 1/2/4/8
-shards (:func:`measure_shard_curve`): every sharded run is checked
-byte-identical to the serial oracle, then the honest wall ratio and the
-modeled multi-core speedup (serial wall over the window-critical-path
-wall) are recorded.  ``check_perf_gate.py`` gates the modeled ratios.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
@@ -95,11 +89,8 @@ from repro.workloads.suite import BENCHMARKS, benchmark
 #: Shrinking ``footprint_bytes`` alone is not enough: the stencil
 #: pattern keeps at least three rows, so HS's 8 KiB ``row_bytes`` would
 #: leave a 24 KiB working set spilling out of the 16 KiB L1 — every
-#: spill is a boundary crossing for the sharded engine.  1 KiB rows
-#: (3 KiB working set) and a zeroed tail make the pair genuinely
-#: resident: shard windows then span thousands of cycles between
-#: boundary intents, which is the regime the multi-process backend's
-#: wall-clock speedup claim is measured in.
+#: spill is a miss the hit fold cannot absorb.  1 KiB rows (3 KiB
+#: working set) and a zeroed tail make the pair genuinely resident.
 _HSR_SPEC = dataclasses.replace(
     BENCHMARKS["HS"], name="HSR", footprint_bytes=4096,
     pattern_args={"base_pattern": "stencil", "row_bytes": 1024,
@@ -109,10 +100,9 @@ _HSR_SPEC = dataclasses.replace(
 #: sweep.  ``None`` warps means the CLI value.  ``light_resident`` pins
 #: warps=1 (with a single warp per SM there is never an in-flight access
 #: ahead of the folding candidate, so the fold gates stay open) and
-#: doubles the trace length: both of its regimes — folding and the
-#: sharded engine's windows — are steady-state behaviours that only
-#: dominate once the 4 KiB footprint's cold misses are a small fraction
-#: of the run.
+#: doubles the trace length: folding is a steady-state behaviour that
+#: only dominates once the 4 KiB footprint's cold misses are a small
+#: fraction of the run.
 PAIR_SWEEP = (
     ("light", "HS.MM", None, 1.0),
     ("medium", "JPEG.LIB", None, 1.0),
@@ -134,12 +124,11 @@ def _workload(name: str, scale: float) -> MemoizedWorkload:
 
 
 def build_manager(pair: str, scale: float, sms: int, warps: int,
-                  kernel, shards: int = 1) -> MultiTenantManager:
+                  kernel) -> MultiTenantManager:
     """A manager for the pair, with the simulator kernel swapped in.
 
     ``kernel=None`` leaves the kernel alone — the PR-4 side installs its
-    own queue via its patched ``Simulator``.  ``shards > 1`` selects the
-    sharded parallel engine (DESIGN.md §13) instead.
+    own queue via its patched ``Simulator``.
     """
     previous = simulator_module.EventQueue
     if kernel is not None:
@@ -149,7 +138,7 @@ def build_manager(pair: str, scale: float, sms: int, warps: int,
         tenants = [Tenant(i, _workload(name, scale))
                    for i, name in enumerate(pair.split("."))]
         return MultiTenantManager(config, tenants,
-                                  warps_per_sm=warps, seed=0, shards=shards)
+                                  warps_per_sm=warps, seed=0)
     finally:
         simulator_module.EventQueue = previous
 
@@ -264,145 +253,15 @@ def measure_pair(pcfg, repeats):
     }
 
 
-#: Shard counts for the parallel-engine speedup curve.  8 SMs is the
-#: bench default, so x8 is one SM per shard.
-SHARD_COUNTS = (1, 2, 4, 8)
-
-#: Execution backends measured alongside the default inline conductor.
-#: ``threads`` prices the GIL-bound pool (expected near 1.0x wall);
-#: ``processes`` is the real multi-core backend whose measured
-#: ``wall_speedup`` the perf gate holds to an absolute floor on
-#: eligible (>= 4 core, unloaded) hosts.
-SHARD_BACKENDS = ("threads", "processes")
-
-
 def host_info() -> dict:
-    """CPU count and pre-bench load: the wall-speedup eligibility record.
-
-    ``check_perf_gate.py`` only enforces the measured ``wall_speedup``
-    floor when the recording host had enough cores to express the
-    parallelism and was not already loaded; a 1-core or busy host
-    records honest sub-1.0 curves that the gate declines to judge.
-    """
+    """CPU count and pre-bench load of the recording host, so a reader
+    can tell a small or loaded runner from a regression."""
     cpu_count = os.cpu_count()
     try:
         load_1m = os.getloadavg()[0]
     except OSError:  # pragma: no cover - non-unix
         load_1m = None
     return {"cpu_count": cpu_count, "load_avg_1m": load_1m}
-
-
-def _observable(result) -> tuple:
-    """Everything the sharded engine is forbidden to change."""
-    return (result.total_cycles, result.stats,
-            {t: dataclasses.asdict(s) for t, s in result.tenants.items()})
-
-
-def measure_shard_curve(pcfg, repeats, shard_counts=SHARD_COUNTS,
-                        backends=SHARD_BACKENDS):
-    """Sharded-engine speedup curve vs the serial oracle (DESIGN.md §13).
-
-    Every shard count's warm-up run — on every backend — is asserted
-    byte-identical to the serial oracle (stats snapshot, cycle count,
-    per-tenant tables) before anything is timed: the benchmark doubles
-    as a differential check at full workload scale.  Speedups are
-    medians of paired interleaved rounds so host speed divides out:
-
-    * ``wall_speedup`` — honest single-machine wall ratio of the inline
-      conductor.  This prices the window/barrier machinery, not
-      parallelism, and sits near or below 1.0.
-    * ``modeled_speedup`` — serial wall over the modeled multi-core
-      wall: the measured run wall with the shard-advance time replaced
-      by the per-window critical path (the longest single shard's
-      slice), i.e. the wall a machine with one core per shard would
-      see.  Gated relative to baseline by ``check_perf_gate.py``.
-    * ``backends.<name>.wall_speedup`` — the *measured* wall ratio on
-      the named execution backend (``threads``: GIL-bound pool;
-      ``processes``: forked shard workers).  These are real numbers,
-      recorded honestly even when they land below 1.0 — miss-dominated
-      pairs serialise at the boundary, and any pair on a host with
-      fewer cores than shards contends for the CPU it has.  The perf
-      gate holds ``processes`` at 4 shards to an absolute floor when
-      (and only when) the recording host was parallel-capable.
-    """
-    pair, scale, sms, warps = pcfg
-    from repro.engine.parallel_sim import BACKEND_ENV
-
-    def run_k(k, backend=None):
-        if backend is not None:
-            os.environ[BACKEND_ENV] = backend
-        try:
-            manager = build_manager(pair, scale, sms, warps, EventQueue,
-                                    shards=k)
-            start = time.perf_counter()
-            result = manager.run()
-            elapsed = time.perf_counter() - start
-        finally:
-            if backend is not None:
-                os.environ.pop(BACKEND_ENV, None)
-        manager.sim.close()
-        return result, manager, elapsed
-
-    serial_result, _, _ = run_k(1)  # warm-up; also the oracle
-    oracle = _observable(serial_result)
-    curve = {}
-    for k in shard_counts:
-        if k == 1:
-            continue
-        result, manager, _ = run_k(k)  # warm-up + identity check
-        if _observable(result) != oracle:
-            raise SystemExit(
-                f"{pair}: shards={k} diverged from the serial oracle — "
-                "byte-identity broken")
-        pstats = manager.sim.parallel_stats()
-        events = pstats["window_events"] + pstats["serial_events"]
-        curve[str(k)] = {
-            "windows": pstats["windows"],
-            "window_events": pstats["window_events"],
-            "window_fraction": (pstats["window_events"] / events
-                                if events else 0.0),
-            "intents_flushed": pstats["intents_flushed"],
-            "walls": [],
-            "modeled": [],
-            "backends": {},
-        }
-        for backend in backends:
-            result, _, _ = run_k(k, backend)  # warm-up + identity check
-            if _observable(result) != oracle:
-                raise SystemExit(
-                    f"{pair}: shards={k} on {backend} diverged from the "
-                    "serial oracle — byte-identity broken")
-            curve[str(k)]["backends"][backend] = {"walls": []}
-
-    serial_walls = []
-    for _ in range(repeats):
-        _, _, serial_wall = run_k(1)
-        serial_walls.append(serial_wall)
-        for k_key, rec in curve.items():
-            _, manager, elapsed = run_k(int(k_key))
-            rec["walls"].append(elapsed)
-            rec["modeled"].append(
-                manager.sim.parallel_stats()["modeled_wall_ns"] / 1e9)
-            for backend, brec in rec["backends"].items():
-                _, _, belapsed = run_k(int(k_key), backend)
-                brec["walls"].append(belapsed)
-
-    for rec in curve.values():
-        rec["wall_seconds"] = statistics.median(rec["walls"])
-        rec["wall_speedup"] = statistics.median(
-            s / w for s, w in zip(serial_walls, rec["walls"]))
-        rec["modeled_speedup"] = statistics.median(
-            s / m for s, m in zip(serial_walls, rec["modeled"]))
-        for brec in rec["backends"].values():
-            brec["wall_seconds"] = statistics.median(brec["walls"])
-            brec["wall_speedup"] = statistics.median(
-                s / w for s, w in zip(serial_walls, brec["walls"]))
-    curve["1"] = {
-        "wall_seconds": statistics.median(serial_walls),
-        "wall_speedup": 1.0,
-        "modeled_speedup": 1.0,
-    }
-    return curve
 
 
 def measure_audit_overhead(pcfg, repeats):
@@ -509,18 +368,6 @@ def main(argv=None) -> int:
               f"{record['speedup_vs_seed']:.2f}x vs seed, "
               f"hit-path {record['fastpath']['hit_path_fraction']:.1%} "
               f"({record['canonical_events']} events)")
-        record["shards"] = measure_shard_curve(pcfg, args.repeats)
-        print("  shards: " + "  ".join(
-            f"x{k}: {record['shards'][k]['modeled_speedup']:.2f} modeled"
-            f" ({record['shards'][k]['wall_speedup']:.2f} wall,"
-            f" {record['shards'][k]['window_fraction']:.0%} windowed)"
-            for k in sorted(record["shards"], key=int) if k != "1"))
-        for backend in SHARD_BACKENDS:
-            print(f"  {backend:>9}: " + "  ".join(
-                f"x{k}: "
-                f"{record['shards'][k]['backends'][backend]['wall_speedup']:.2f}"
-                " wall"
-                for k in sorted(record["shards"], key=int) if k != "1"))
 
     payload = {
         "benchmark": "engine_throughput",
@@ -530,8 +377,6 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "smoke": args.smoke,
         "pairs": pairs,
-        "shard_counts": list(SHARD_COUNTS),
-        "shard_backends": list(SHARD_BACKENDS),
         "host": host,
         "python": sys.version.split()[0],
     }

@@ -25,11 +25,7 @@ Commands:
 All commands accept ``--scale`` (workload length multiplier) and
 ``--warps`` (warps per SM) to trade fidelity for run time, plus the
 integrity flags ``--audit {off,cheap,full}``, ``--watchdog-window`` and
-``--forensics-dir`` (see ``repro.integrity``).  ``run`` and ``campaign``
-additionally accept ``--shards K`` to execute on the sharded parallel
-engine (``repro.engine.parallel_sim``) — byte-identical results, with a
-campaign-level guard that keeps ``workers x shards`` within the CPU
-count.
+``--forensics-dir`` (see ``repro.integrity``).
 """
 
 from __future__ import annotations
@@ -58,30 +54,6 @@ from repro.workloads.suite import BENCHMARKS, benchmark
 POLICIES = ("baseline", "static", "dws", "dwspp", "mask", "mask+dws")
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
-
-
-def _add_shards(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shards", type=_positive_int, default=None,
-                        metavar="K",
-                        help="partition the simulation across K engine "
-                             "shards (published as REPRO_SHARDS; default: "
-                             "inherit the environment, else 1 = serial "
-                             "kernel; results are byte-identical at any K)")
-    parser.add_argument("--shard-backend", default=None,
-                        choices=("inline", "threads", "processes"),
-                        help="execution backend for the sharded engine "
-                             "(published as REPRO_SHARD_BACKEND): inline "
-                             "= one thread, threads = thread pool, "
-                             "processes = persistent forked workers with "
-                             "real wall-clock parallelism; results are "
-                             "byte-identical across backends")
-
-
 def _add_fastpath(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fastpath", action="store_true",
                         help="disable the latency-folding fast path "
@@ -92,9 +64,9 @@ def _add_fastpath(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fastpath-walk", choices=("on", "off"),
                         default=None,
                         help="toggle just the walk-path fold rungs "
-                             "(L2 TLB hits, PWC-terminated walks, DRAM "
-                             "batching; publishes REPRO_FASTPATH_WALK; "
-                             "default: inherit the environment, else on)")
+                             "(L2 TLB hits, DRAM batching; publishes "
+                             "REPRO_FASTPATH_WALK; default: inherit the "
+                             "environment, else on)")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,33 +119,12 @@ def _install_integrity(args) -> Optional[str]:
     return previous
 
 
-def _install_shards(args):
-    """Publish ``--shards`` / ``--shard-backend`` into the environment.
-
-    Returns the previous ``(REPRO_SHARDS, REPRO_SHARD_BACKEND)`` values
-    so :func:`main` can restore them — campaign worker processes inherit
-    the variables, but the CLI must not leak them into a calling
-    process's later runs (tests drive ``main()`` in-process, same
-    contract as :func:`_install_integrity`).
-    """
-    import os
-
-    from repro.engine.parallel_sim import BACKEND_ENV, SHARDS_ENV
-
-    previous = (os.environ.get(SHARDS_ENV), os.environ.get(BACKEND_ENV))
-    if getattr(args, "shards", None) is not None:
-        os.environ[SHARDS_ENV] = str(args.shards)
-    if getattr(args, "shard_backend", None) is not None:
-        os.environ[BACKEND_ENV] = args.shard_backend
-    return previous
-
-
 def _install_fastpath(args):
     """Publish the fastpath switches, when given.
 
     Returns the previous ``(REPRO_FASTPATH, REPRO_FASTPATH_WALK)``
     values so :func:`main` can restore them — same no-leak contract as
-    :func:`_install_shards` (tests drive ``main()`` in-process, and
+    :func:`_install_integrity` (tests drive ``main()`` in-process, and
     campaign worker processes inherit the variables).
     """
     import os
@@ -210,9 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-breakdown", action="store_true",
                    help="attach the engine profiler and print the top "
                         "callsites by delivery count (queue events and "
-                        "folded completions), plus the barrier/window "
-                        "breakdown when the run is sharded")
-    _add_shards(p)
+                        "folded completions)")
     _add_fastpath(p)
     _add_common(p)
 
@@ -265,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="byte quota on the result cache; the write path "
                         "evicts least-recently-accessed entries to fit "
                         "(default: no quota)")
-    _add_shards(p)
     _add_fastpath(p)
     _add_common(p)
 
@@ -580,8 +528,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     previous = _install_integrity(args) if hasattr(args, "audit") else None
-    previous_shards = (_install_shards(args)
-                       if hasattr(args, "shards") else None)
     previous_fastpath = (_install_fastpath(args)
                          if hasattr(args, "no_fastpath") else None)
     try:
@@ -604,14 +550,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 os.environ.pop(INTEGRITY_ENV, None)
             else:
                 os.environ[INTEGRITY_ENV] = previous
-        if hasattr(args, "shards"):
-            from repro.engine.parallel_sim import BACKEND_ENV, SHARDS_ENV
-            for env, value in zip((SHARDS_ENV, BACKEND_ENV),
-                                  previous_shards):
-                if value is None:
-                    os.environ.pop(env, None)
-                else:
-                    os.environ[env] = value
         if previous_fastpath is not None:
             from repro.gpu.gpu import FASTPATH_ENV, FASTPATH_WALK_ENV
             for env, value in zip((FASTPATH_ENV, FASTPATH_WALK_ENV),

@@ -42,9 +42,6 @@ class EngineProfiler:
         #: the harness via :meth:`note_fold_rungs` after a profiled run:
         #: how many completions each fold rung absorbed from the queue.
         self.fold_rungs: Dict[str, int] = {}
-        #: sharded-engine telemetry (``ParallelSimulator.parallel_stats``),
-        #: captured at detach when the attached kernel was sharded.
-        self.parallel: Dict = {}
 
     # ------------------------------------------------------------------
     # Collection
@@ -64,19 +61,6 @@ class EngineProfiler:
         """Count one fired event (called by the simulator's run loop)."""
         self.events += 1
         key = self._key(event.fn)
-        counts = self.component_counts
-        counts[key] = counts.get(key, 0) + 1
-
-    def record_fn(self, fn) -> None:
-        """Count one fired entry given its bare callback.
-
-        The sharded kernel's queues store raw ``(fn, args)`` entries
-        with no Event wrapper, so its conductor reports callbacks
-        directly instead of building a throwaway Event for
-        :meth:`record`.
-        """
-        self.events += 1
-        key = self._key(fn)
         counts = self.component_counts
         counts[key] = counts.get(key, 0) + 1
 
@@ -105,7 +89,6 @@ class EngineProfiler:
         rungs = self.fold_rungs
         for key, label in (("folded_accesses", "hit-fold"),
                            ("folded_l2_tlb_hits", "l2-fold"),
-                           ("folded_walks", "pwc-fold"),
                            ("batched_dram_fetches", "dram-batch-fetch"),
                            ("batched_dram_returns", "dram-batch-return")):
             count = fastpath.get(key)
@@ -134,9 +117,6 @@ class EngineProfiler:
             sim.profiler = previous
             if has_observer:
                 queue.delivery_observer = previous_observer
-            parallel_stats = getattr(sim, "parallel_stats", None)
-            if parallel_stats is not None:
-                self.parallel = parallel_stats()
 
     # ------------------------------------------------------------------
     # Results
@@ -183,8 +163,6 @@ class EngineProfiler:
         }
         if self.fold_rungs:
             summary["fold_rungs"] = dict(self.fold_rungs)
-        if self.parallel:
-            summary["parallel"] = dict(self.parallel)
         return summary
 
     def report(self, top: int = 10) -> str:
@@ -202,35 +180,4 @@ class EngineProfiler:
             lines.append("fold rungs: " + "  ".join(
                 f"{label} {count}" for label, count
                 in sorted(self.fold_rungs.items())))
-        parallel = self.parallel
-        if parallel:
-            lines.append(self._parallel_report(parallel))
-        return "\n".join(lines)
-
-    @staticmethod
-    def _parallel_report(stats: Dict) -> str:
-        """Barrier/window breakdown of a sharded run: where the wall
-        time went (shard-local advance vs boundary sync vs merge) and
-        what the per-window critical path models as the multi-core
-        wall time."""
-        wall = stats.get("run_wall_ns", 0) or 1
-        window = stats.get("window_ns", 0)
-        barrier = stats.get("barrier_ns", 0)
-        serial = max(wall - window - barrier, 0)
-        events = stats.get("window_events", 0) + stats.get("serial_events", 0)
-        in_window = (stats.get("window_events", 0) / events) if events else 0.0
-        lines = [
-            f"sharded x{stats.get('num_shards')} "
-            f"({stats.get('backend')}, window={stats.get('window_span')}): "
-            f"{stats.get('windows')} windows, "
-            f"{stats.get('window_events')} window events "
-            f"({in_window:.1%}), {stats.get('serial_events')} serial events, "
-            f"{stats.get('intents_flushed')} intents",
-            f"  shard advance {window / wall:6.1%}   "
-            f"boundary sync {serial / wall:6.1%}   "
-            f"merge {barrier / wall:6.1%}   of {wall / 1e6:,.1f} ms",
-            f"  critical path {stats.get('critical_ns', 0) / 1e6:,.1f} ms -> "
-            f"modeled multi-core wall "
-            f"{stats.get('modeled_wall_ns', 0) / 1e6:,.1f} ms",
-        ]
         return "\n".join(lines)

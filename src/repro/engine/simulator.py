@@ -175,14 +175,6 @@ class Simulator:
         if batches is not None:  # reference kernels predate batching
             batches.halt = True
 
-    def close(self) -> None:
-        """Release engine-held execution resources (worker pools).
-
-        A no-op for the serial kernel; the sharded engine overrides it.
-        Callers that may hold either (the tenancy manager) can call it
-        unconditionally from a ``finally``.
-        """
-
     def step(self) -> bool:
         """Fire the next event.  Returns ``False`` when the queue is empty."""
         event = self.events.pop()

@@ -19,7 +19,6 @@ Four stat kinds cover everything the paper reports:
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -144,29 +143,17 @@ class OccupancySampler:
 
 
 class StatsRegistry:
-    """Flat, lazily-populated namespace of stat objects.
-
-    Lazy creation is guarded by a lock so the sharded engine's threads
-    backend can resolve stats concurrently: shard workers only ever
-    mutate stat objects they already hold (their own SM's counters),
-    but two shards may race to *create* entries in the shared dict.
-    The uncontended acquire only costs on the miss path — hot-path
-    increments go through cached stat objects, never through here.
-    """
+    """Flat, lazily-populated namespace of stat objects."""
 
     def __init__(self) -> None:
         self._stats: Dict[str, object] = {}
-        self._create_lock = threading.Lock()
 
     def _get(self, name: str, factory, kind) -> object:
         stat = self._stats.get(name)
         if stat is None:
-            with self._create_lock:
-                stat = self._stats.get(name)
-                if stat is None:
-                    stat = factory()
-                    self._stats[name] = stat
-        if not isinstance(stat, kind):
+            stat = factory()
+            self._stats[name] = stat
+        elif not isinstance(stat, kind):
             raise TypeError(
                 f"stat {name!r} already registered as {type(stat).__name__}"
             )

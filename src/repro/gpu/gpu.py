@@ -43,7 +43,7 @@ from repro.vm.walk import WalkRequest
 #: disables every fold rung and restores the canonical event stream.
 FASTPATH_ENV = "REPRO_FASTPATH"
 #: Sub-switch for the walk-path rungs only (DESIGN.md §14); "0" keeps
-#: the hit fold while the L2-TLB/PWC/DRAM-batch rungs fall back to the
+#: the hit fold while the L2-TLB/DRAM-batch rungs fall back to the
 #: event path.
 FASTPATH_WALK_ENV = "REPRO_FASTPATH_WALK"
 
@@ -190,23 +190,10 @@ class Gpu:
         # probe issued behind it would reorder the recency updates.
         self._l2_lookups_inflight = 0
         self._pws_unique = self.walk_subsystems()
-        # A folded walk applies its leaf read's L2 bank arithmetic at
-        # dispatch-select time, dispatch+pwc cycles early.  That is
-        # order-safe only when no data access issued from this cycle on
-        # can reach the L2 before the read would have run: the shortest
-        # such path is an L1 probe plus the interconnect traversal.
-        self._walk_window_ok = (
-            config.sm.l1_cache.hit_latency + config.interconnect_latency
-            > config.walkers.dispatch_latency + config.walkers.pwc_latency
-        )
         self._folded_l2_hits = 0
-        self._folded_walks = 0
-        # Rung denominators for the per-rung fold fractions reported by
-        # fastpath_stats(): evented L2 lookups and total walk requests.
+        # Rung denominator for the L2 fold fraction reported by
+        # fastpath_stats(): evented L2 lookups.
         self._unfolded_l2_lookups = 0
-        self._walk_requests = 0
-        for pws in self._pws_unique:
-            pws.folder = self
         self.memory.l2.batch_gate = self
         self.memory.dram.batch_gate = self
 
@@ -496,93 +483,8 @@ class Gpu:
 
     def _enqueue_walk(self, sm_id: int, tenant_id: int, vpn: int) -> None:
         """The L2-TLB-miss hop: hand the translation to the walkers."""
-        self._walk_requests += 1
         self._pws[tenant_id].request_walk(
             tenant_id, vpn, _WalkDone(self, sm_id, tenant_id, vpn))
-
-    # ------------------------------------------------------------------
-    # Walk-fold rung (b): PWC-terminated walk folding (DESIGN.md §14)
-    # ------------------------------------------------------------------
-    def try_fold_walk(self, pws: PageWalkSubsystem, walker, request) -> bool:
-        """Complete a dispatch-ready walk arithmetically when its latency
-        is fully determined: a deepest-prefix PWC hit leaves exactly one
-        page-table read (the leaf PTE), and when every walker is idle,
-        the L2 is quiescent and no in-flight interconnect traversal can
-        deliver inside the fold window, that read's bank timing — hence
-        the walk's completion cycle — is already known at dispatch.
-
-        Observable effects ride a three-tick chain of raw entries pushed
-        at the exact moments (hence exact FIFO slots) the event path's
-        dispatch, level read and completion delivery would have been
-        pushed, so stats snapshots agree on either side of any
-        ``sim.stop()``.  Only the internal L2 bank/LRU and PWC recency
-        state is applied eagerly; quiescence makes that order-neutral.
-        Returns False with nothing touched when any gate is open — the
-        caller then dispatches through the unchanged event path.
-        """
-        sim = self.sim
-        if (not self.fold_walk_enabled or not self.fold_enabled
-                or self.mask is not None
-                or sim.audit_hook is not None
-                or not self._walk_window_ok
-                or pws.dispatch_latency == 0):
-            return False
-        for other in self._pws_unique:
-            for w in other.walkers:
-                if w.busy or w.reserved:
-                    return False
-        memory = self.memory
-        l2 = memory.l2
-        if (memory.noc.delivery_horizon >= sim.now or l2._mshrs
-                or l2._overflow):
-            return False
-        pwc = pws.pwc
-        tenant_id = request.tenant_id
-        vpn = request.vpn
-        if not pwc.fold_peek_leaf(tenant_id, vpn):
-            return False
-        leaf = pws.page_tables[tenant_id].walk_addresses(vpn)[-1]
-        now = sim.now
-        done = l2.fold_walk_read(
-            leaf, now + pws.dispatch_latency + pws.pwc_latency)
-        if done < 0:
-            return False
-        pwc.fold_commit_leaf(tenant_id, vpn)
-        self._folded_walks += 1
-        walker.reserved = True
-        sim.events.push_raw(now + pws.dispatch_latency, self._walk_fold_start,
-                            (pws, walker, request, done))
-        return True
-
-    def _walk_fold_start(self, pws: PageWalkSubsystem, walker, request,
-                         done: int) -> None:
-        """Tick 1, the dispatch slot: walker state and service-start
-        effects exactly as ``Walker.start`` applies them, plus the PWC
-        hit counters at the probe's canonical cycle."""
-        walker.reserved = False
-        walker.busy = True
-        walker.current = request
-        request.walker_id = walker.id
-        sim = self.sim
-        request.service_start = sim.now
-        pws.note_service_start(walker, request)
-        pws.pwc.fold_count_leaf_hit()
-        request.memory_accesses = 1
-        sim.events.push_raw(sim.now + pws.pwc_latency,
-                            self._walk_fold_read, (walker, request, done))
-
-    def _walk_fold_read(self, walker, request, done: int) -> None:
-        """Tick 2, the level-read slot: the L2 hit counter ticks here
-        (bank/LRU state was applied eagerly at fold time) and the
-        completion rides the read's computed data-ready cycle."""
-        self.memory.l2._count_hit()
-        self.sim.events.push_raw(done, self._walk_fold_finish,
-                                 (walker, request))
-
-    def _walk_fold_finish(self, walker, request) -> None:
-        """Tick 3, the completion slot: the real finish machinery (PWC
-        fill, completion stats, callbacks, re-dispatch) runs unchanged."""
-        walker._finish(request)
 
     def _walk_done(self, sm_id: int, tenant_id: int, vpn: int,
                    request: WalkRequest) -> None:
@@ -628,19 +530,15 @@ class Gpu:
             "unfolded_accesses": self._unfolded_accesses,
             "hit_path_fraction": self._folded_accesses / total if total else 0.0,
             "folded_l2_tlb_hits": self._folded_l2_hits,
-            "folded_walks": self._folded_walks,
             "batched_dram_fetches": batched_fetches,
             "batched_dram_returns": self.memory.dram._batched_returns,
             # Per-rung fold fractions (DESIGN.md §14): how much of each
             # stage's traffic the rung absorbed.  Denominators are the
-            # stage's own totals — L2 TLB lookups for rung (a), walk
-            # requests for rung (b), L2-miss fetches for rung (c) — so
-            # the fractions say which regime each pair exercises.
+            # stage's own totals — L2 TLB lookups for rung (a), L2-miss
+            # fetches for rung (c) — so the fractions say which regime
+            # each pair exercises.
             "l2_fold_fraction":
                 self._folded_l2_hits / l2_total if l2_total else 0.0,
-            "walk_fold_fraction":
-                (self._folded_walks / self._walk_requests
-                 if self._walk_requests else 0.0),
             "dram_batch_fraction":
                 batched_fetches / fetch_total if fetch_total else 0.0,
         }

@@ -51,14 +51,12 @@ import os
 import signal
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import shards_from_env
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.fsutil import atomic_write_json
 from repro.harness.parallel import Job, WorkerPool, run_jobs
@@ -462,45 +460,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def clamp_workers_for_shards(
-        workers: Optional[int], shards: int,
-        cpu_count: Optional[int] = None,
-        backend: Optional[str] = None) -> Tuple[Optional[int],
-                                                Optional[str]]:
-    """Worker count that keeps ``workers x shards`` within the CPUs.
-
-    Each campaign worker process runs a whole simulation; under
-    ``REPRO_SHARDS=K`` with a parallel shard backend (``threads`` or
-    ``processes``, inherited via ``REPRO_SHARD_BACKEND``) every one of
-    those simulations wants K cores of its own, so the pool must shrink
-    rather than oversubscribe the machine K-fold.  The ``inline``
-    backend runs a sharded simulation on one core, so no clamp applies.
-    Returns ``(workers, warning)``: ``workers`` is the count to hand to
-    the pool (``None`` passes through untouched when no sharding is
-    active), and ``warning`` is a human-readable message when an
-    explicit request had to be clamped, else ``None``.
-    """
-    if shards <= 1:
-        return workers, None
-    if backend is None:
-        backend = os.environ.get("REPRO_SHARD_BACKEND", "inline")
-    if backend == "inline":
-        # One core per simulation regardless of K: nothing to clamp.
-        return workers, None
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    budget = max(1, cpus // shards)
-    if workers is None:
-        # Nothing explicit to contradict: the default simply becomes
-        # the shard-aware budget instead of the CPU count.
-        return budget, None
-    if workers * shards <= cpus:
-        return workers, None
-    return budget, (
-        f"campaign: {workers} workers x {shards} shards "
-        f"({backend} backend) oversubscribes {cpus} CPUs; "
-        f"clamping to {budget} worker(s)")
-
-
 def run_campaign(session: Session,
                  figures: Optional[Sequence[str]] = None,
                  pairs: Optional[Sequence[str]] = None,
@@ -541,14 +500,6 @@ def run_campaign(session: Session,
     start = time.perf_counter()
     if supervision is None:
         supervision = SupervisionPolicy.default()
-    if pool is None:
-        # Worker processes inherit REPRO_SHARDS, so each job may claim
-        # several cores; shrink the pool rather than oversubscribe.  A
-        # caller-supplied pool is deliberate and passes through as-is.
-        workers, oversub = clamp_workers_for_shards(
-            workers, shards_from_env(1))
-        if oversub is not None:
-            warnings.warn(oversub, RuntimeWarning, stacklevel=2)
     plan = plan_campaign(session, figures, pairs)
 
     cache = session.disk_cache

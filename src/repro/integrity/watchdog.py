@@ -24,15 +24,6 @@ Snapshots are taken every ``window // 4`` events (at least every
 1024), so a stall is raised within 1.25 windows of beginning.  The
 watchdog only reads counters that already exist — it never creates
 stats — preserving byte-identical output.
-
-Sharded runs (``REPRO_SHARDS > 1``) need no special handling here, by
-construction: installing the per-event hook makes the
-:class:`~repro.engine.parallel_sim.ParallelSimulator` conductor disable
-windows and fire every event as a globally ordered serial step, so
-``events_seen`` counts events *across all shards* in one stream.  The
-watchdog therefore cannot stall on an idle shard — there is no
-per-shard event count to starve on, and the progress counters it reads
-are the same shared registry the serial kernel writes.
 """
 
 from __future__ import annotations

@@ -254,30 +254,6 @@ class Cache:
         """Deferred hit tick for folded probes (see :meth:`probe_fast`)."""
         self._hits.value += 1
 
-    def fold_walk_read(self, addr: int, at_time: int) -> int:
-        """Hit probe for the walk-folding path: bank/LRU only, no tick.
-
-        Same arithmetic as :meth:`probe_fast` evaluated at ``at_time``,
-        but the deferred hit tick is *not* pushed here — the walk fold's
-        own slot-exact tick chain (see ``Gpu._walk_fold_read``) bumps
-        :meth:`_count_hit` at the read cycle, from the identical FIFO
-        position the evented level read would have occupied.  Returns
-        the absolute data-ready cycle on a hit, ``-1`` on a miss with
-        nothing touched.
-        """
-        line = addr // self._line_bytes
-        cache_set = self._sets[line % self._num_sets]
-        if line not in cache_set:
-            return -1
-        bank_free = self._bank_free
-        bank = line % self._banks
-        start = bank_free[bank]
-        if start < at_time:
-            start = at_time
-        bank_free[bank] = start + self.bank_cycles
-        cache_set.move_to_end(line)
-        return start + self._hit_latency
-
     def fast_ready(self) -> bool:
         """True when no fill or replay can touch this cache before the
         next scheduled event: folding is only sound while the cache has

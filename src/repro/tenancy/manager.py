@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.engine.config import GpuConfig
-from repro.engine.parallel_sim import ParallelSimulator, shards_from_env
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import EventBudgetExceeded, Simulator
 from repro.gpu.gpu import Gpu
@@ -110,7 +109,6 @@ class MultiTenantManager:
         min_executions: int = 1,
         integrity: Optional[IntegrityConfig] = None,
         label: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         if min_executions < 1:
             raise ValueError("min_executions must be at least 1")
@@ -127,22 +125,8 @@ class MultiTenantManager:
         self.min_executions = min_executions
         self.integrity = integrity
         self.label = label
-        # Engine selection: an explicit ``shards=`` wins; otherwise the
-        # ambient REPRO_SHARDS applies (same precedence as integrity
-        # config).  K is clamped to the SM count — a shard must own at
-        # least one SM — and K=1 (or unset) is the serial oracle: the
-        # plain kernel, byte-identical to every sharded run.
-        requested = shards if shards is not None else shards_from_env(1)
-        self.shards = max(1, min(requested, config.sm.num_sms))
-        if self.shards > 1:
-            self.sim: Simulator = ParallelSimulator(self.shards)
-        else:
-            self.sim = Simulator()
+        self.sim = Simulator()
         self.gpu = Gpu(self.sim, config, ids)
-        if self.shards > 1:
-            # Partition before any launch so the per-SM components are
-            # rebound to their shard facades from the very first push.
-            self.sim.attach_gpu(self.gpu)
         self._stats: Dict[int, TenantRunStats] = {}
         self._launch_time: Dict[int, int] = {}
         self._launch_instructions: Dict[int, int] = {}
@@ -183,19 +167,12 @@ class MultiTenantManager:
 
     def _run(self) -> RunResult:
         start = time.perf_counter()
-        try:
-            for tenant in self.tenants:
-                self._launch(tenant)
-            # Completion is signalled by _on_tenant_complete via
-            # sim.stop(), which stops at the same event boundary a
-            # per-event stop_when poll would — without paying for the
-            # poll on every event.
-            fired = self.sim.run(max_events=self.max_events)
-        finally:
-            # Tear down engine-held worker pools (the processes backend
-            # forks per-shard children) even on the error path, so no
-            # worker outlives its simulation.
-            self.sim.close()
+        for tenant in self.tenants:
+            self._launch(tenant)
+        # Completion is signalled by _on_tenant_complete via sim.stop(),
+        # which stops at the same event boundary a per-event stop_when
+        # poll would — without paying for the poll on every event.
+        fired = self.sim.run(max_events=self.max_events)
         if not self._all_completed_once():
             raise EventBudgetExceeded(
                 "simulation exhausted max_events before every tenant "

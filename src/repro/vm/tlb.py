@@ -80,27 +80,6 @@ class Tlb:
         self._misses.value += 1
         return -1
 
-    def probe_fast_frame(self, tenant_id: int, vpn: int) -> Optional[int]:
-        """Side-effect-complete probe returning the cached frame.
-
-        Identical side effects to :meth:`lookup` / :meth:`probe_fast`,
-        but reports the outcome as the stored frame number (``None`` on
-        a miss).  The multi-process shard backend needs this: a worker's
-        replica page table is frozen at fork, so the only authoritative
-        frame it can see on an L1-TLB hit is the one the fill delivery
-        stored in the entry itself — which equals the page table's
-        mapping by construction (fills carry the translated frame).
-        """
-        key = (tenant_id, vpn)
-        tlb_set = self._sets[vpn % self._num_sets]
-        self._lookups.value += 1
-        if key in tlb_set:
-            tlb_set.move_to_end(key)
-            self._hits.value += 1
-            return tlb_set[key]
-        self._misses.value += 1
-        return None
-
     def fold_probe(self, tenant_id: int, vpn: int) -> Optional[int]:
         """Hit-only eager probe for the walk-folding path (DESIGN.md §14).
 

@@ -206,7 +206,7 @@ class TestCompletionBatchHalt:
     completion batch is many logical events sharing one carrier, so the
     batch must freeze its undelivered tail when a callback calls
     ``stop()`` — otherwise the folded fast path observably over-delivers
-    relative to the serial schedule (and to every sharded backend).
+    relative to the serial schedule.
     """
 
     def test_stop_mid_batch_freezes_tail(self):

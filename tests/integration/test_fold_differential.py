@@ -179,8 +179,8 @@ def test_walk_fold_identity_all_policies(archetype):
     """Walk rungs on == off for every archetype under every policy.
 
     Both sides keep the parent fold on: this isolates the DESIGN.md §14
-    rungs (L2-TLB-hit fold, PWC-terminated walk fold, DRAM batching)
-    from the §12 hit fold the previous tests cover.
+    rungs (L2-TLB-hit fold, DRAM batching) from the §12 hit fold the
+    previous tests cover.
     """
     for policy in POLICIES:
         pair = [benchmark(archetype, scale=SCALE), benchmark("HS", scale=SCALE)]
@@ -196,10 +196,9 @@ def test_walk_fold_identity_all_policies(archetype):
 def test_walk_fold_engagement(policy):
     """The miss-dominated regime, where the walk rungs actually fire.
 
-    JPEG.LIB at this scale warms the L2 TLB and PWC enough for rungs
-    (a) and (b) to engage while every L2 miss exercises rung (c); a
-    walk-rung differential on a config where they never fire would be
-    vacuous.
+    JPEG.LIB at this scale warms the L2 TLB enough for rung (a) to
+    engage while every L2 miss exercises rung (c); a walk-rung
+    differential on a config where they never fire would be vacuous.
     """
     def pair():
         return [benchmark("JPEG", scale=0.2), benchmark("LIB", scale=0.2)]
@@ -214,7 +213,6 @@ def test_walk_fold_engagement(policy):
     assert stats["batched_dram_returns"] > 0
     off_stats = off_manager.gpu.fastpath_stats()
     assert off_stats["folded_l2_tlb_hits"] == 0
-    assert off_stats["folded_walks"] == 0
     assert off_stats["batched_dram_fetches"] == 0
     # Batching and folding must never add queue traffic.  Equality is
     # legitimate at this scale: the lazy batch protocol keeps the first
@@ -223,23 +221,14 @@ def test_walk_fold_engagement(policy):
     assert on.events_fired <= off.events_fired
 
 
-def test_walk_fold_fires_pwc_rung():
-    """Rung (b) — the deferred-tick walk fold — must engage somewhere
-    in the grid, or its identity coverage is vacuous."""
-    pair = [benchmark("JPEG", scale=0.5), benchmark("LIB", scale=0.5)]
-    _, manager = run_once(pair, "dws", fold=True, walk=True, warps=1)
-    stats = manager.gpu.fastpath_stats()
-    assert stats["folded_walks"] > 0
-    assert stats["walk_fold_fraction"] > 0.0
-
-
 def test_walk_fold_identity_across_stop_boundary():
     """Walk-rung ticks must not leak past ``sim.stop()``.
 
-    At 8 SMs this trace ends with folded-walk tick chains and batched
-    DRAM carriers still queued; the slot-exact discipline (DESIGN.md
-    §14) requires each deferred tick to fire or drop exactly as the
-    event it replaces would have.
+    Rungs (a) and (c) push their deferred ticks and batch carriers at
+    the slots of the events they replace, and the slot-exact discipline
+    (DESIGN.md §14) requires each to fire or drop at a stop exactly as
+    that event would have.  At 8 SMs this trace stops mid-traffic, with
+    L2 fills still queued.
     """
     def pair():
         return [benchmark("JPEG", scale=0.5), benchmark("LIB", scale=0.5)]
@@ -258,7 +247,6 @@ def test_walk_kill_switches():
     assert manager.gpu.fold_enabled is True
     stats = manager.gpu.fastpath_stats()
     assert stats["folded_l2_tlb_hits"] == 0
-    assert stats["folded_walks"] == 0
     assert stats["batched_dram_fetches"] == 0
     assert stats["batched_dram_returns"] == 0
 
@@ -266,7 +254,6 @@ def test_walk_kill_switches():
     _, manager = run_once(pair, "dws", fold=False, walk=True, warps=1)
     stats = manager.gpu.fastpath_stats()
     assert stats["folded_l2_tlb_hits"] == 0
-    assert stats["folded_walks"] == 0
     assert stats["batched_dram_fetches"] == 0
 
 
@@ -278,7 +265,6 @@ def test_walk_fold_disabled_under_audit():
                           integrity=integrity)
     stats = manager.gpu.fastpath_stats()
     assert stats["folded_l2_tlb_hits"] == 0
-    assert stats["folded_walks"] == 0
     assert stats["batched_dram_fetches"] == 0
     assert stats["batched_dram_returns"] == 0
 
