@@ -15,7 +15,7 @@ process, which is the only honest way to compare them.
 
 Every patched method is behaviourally identical to its optimised
 replacement — the benchmark asserts the PR-4 and seed sides fire the
-same event count and that the folded engine's stats snapshot is
+same event count and that the shipping engine's stats snapshot is
 byte-identical — so the ratios isolate cost, not behaviour.
 
 Benchmark-internal; nothing in ``src/`` imports this.
@@ -750,7 +750,7 @@ _ABSENT = object()
 
 @contextmanager
 def pr4_engine():
-    """Swap the PR-4 implementations in; restore the folded ones after."""
+    """Swap the PR-4 implementations in; restore the shipping ones after."""
     saved = [(target, name, target.__dict__.get(name, _ABSENT))
              for target, name, _ in _PATCHES]
     try:

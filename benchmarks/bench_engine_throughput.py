@@ -1,31 +1,25 @@
 """Engine throughput benchmark: shipping engine vs PR-4 vs seed.
 
-Sweeps a pair triplet spanning the suite's contention classes, plus an
-L1-resident Light pair that exercises the latency-folding fast path
-(DESIGN.md §12), and reports work-normalized wall-clock events/sec for
-three engine generations side by side:
+Sweeps a pair triplet spanning the suite's contention classes and
+reports wall-clock events/sec for three engine generations side by
+side:
 
 * **engine** — the shipping kernel: calendar queue, handle-free raw
-  entries, the fused no-peek run loop, inlined component hot paths, and
-  the latency-folding fast path (fold on, its production default).
+  entries, the fused no-peek run loop and inlined component hot paths.
 * **pr4_reference** — the immediately preceding engine generation,
   reconstructed verbatim by :mod:`_pr4_reference`: calendar queue with
   per-event ``Event`` allocation plus free-list recycling, the PR-4 run
-  loop, and the PR-4 component bodies (no folding, no raw entries).
-  This is the baseline the fold's speedup claims are made against.
+  loop, and the PR-4 component bodies (no raw entries).
 * **seed_reference** — the original seed engine reconstructed verbatim
   by :mod:`_seed_reference`: binary-heap queue, a run loop that peeks
   and polls a ``stop_when`` predicate per event, and the seed component
   hot paths.
 
-The three sides simulate the identical machine state: the warm-up runs
-assert the engine's stats snapshot is byte-identical to PR-4's, and
-that PR-4 and seed fire the same event count under the same drive.
-With folding on the engine fires *fewer* events than the reference
-sides for the same simulated work, so all rates are normalized to the
-**canonical event count** (the PR-4/seed count): rate = canonical
-events / wall seconds.  The ratio between sides is then pure engine
-cost for identical work.
+The three sides simulate the identical machine state and fire the
+identical events: the warm-up runs assert the engine's stats snapshot is
+byte-identical to PR-4's and that all three sides fire the same event
+count, so the ratio between sides is pure engine cost for identical
+work.
 
 Methodology: per pair, one untimed warm-up per side (doubles as the
 identity check), then ``--repeats`` interleaved (engine, pr4, seed)
@@ -36,12 +30,6 @@ numbers are **medians** (of the per-round paired ratios for speedups,
 of the per-round rates for events/sec); min/max are recorded alongside.
 Workload traces are memoized at module level (:class:`TraceMemo`), so
 trace generation is warmed out of every timed region on every side.
-
-Per-pair hit-path fractions (folded / total translated accesses) are
-recorded so the JSON states *which regime* each pair exercises: the
-suite pairs are miss-dominated at their standard footprints and fold
-rarely; the ``light_resident`` pair is built to fold on nearly every
-access.
 
 Usage::
 
@@ -55,7 +43,6 @@ collects nothing from it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import statistics
@@ -76,38 +63,14 @@ from repro.engine.event import EventQueue, HeapEventQueue
 from repro.engine.profile import EngineProfiler
 from repro.tenancy.manager import MultiTenantManager
 from repro.tenancy.tenant import Tenant
-from repro.workloads.base import MemoizedWorkload, TraceMemo, Workload
-from repro.workloads.suite import BENCHMARKS, benchmark
+from repro.workloads.base import MemoizedWorkload, TraceMemo
+from repro.workloads.suite import benchmark
 
-#: An L1-resident Light variant: the HS spec shrunk to a footprint that
-#: fits entirely in one SM's L1 data cache *and* its L1 TLB reach, so
-#: after the cold misses every access is an L1 TLB hit + L1 data hit.
-#: This is the regime the latency-folding fast path is built for; the
-#: standard suite footprints are deliberately cache-exceeding and fold
-#: rarely (see the per-pair ``fastpath`` records).
-#:
-#: Shrinking ``footprint_bytes`` alone is not enough: the stencil
-#: pattern keeps at least three rows, so HS's 8 KiB ``row_bytes`` would
-#: leave a 24 KiB working set spilling out of the 16 KiB L1 — every
-#: spill is a miss the hit fold cannot absorb.  1 KiB rows (3 KiB
-#: working set) and a zeroed tail make the pair genuinely resident.
-_HSR_SPEC = dataclasses.replace(
-    BENCHMARKS["HS"], name="HSR", footprint_bytes=4096,
-    pattern_args={"base_pattern": "stencil", "row_bytes": 1024,
-                  "tail_bytes": 64 * 1024 * 1024, "tail_probability": 0.0})
-
-#: (json key, pair, warps override, scale multiplier) — the contention
-#: sweep.  ``None`` warps means the CLI value.  ``light_resident`` pins
-#: warps=1 (with a single warp per SM there is never an in-flight access
-#: ahead of the folding candidate, so the fold gates stay open) and
-#: doubles the trace length: folding is a steady-state behaviour that
-#: only dominates once the 4 KiB footprint's cold misses are a small
-#: fraction of the run.
+#: (json key, pair) — the contention sweep.
 PAIR_SWEEP = (
-    ("light", "HS.MM", None, 1.0),
-    ("medium", "JPEG.LIB", None, 1.0),
-    ("heavy", "GUPS.SAD", None, 1.0),
-    ("light_resident", "HSR.HSR", 1, 2.0),
+    ("light", "HS.MM"),
+    ("medium", "JPEG.LIB"),
+    ("heavy", "GUPS.SAD"),
 )
 
 #: Module-level trace memo shared by every build on every side, so no
@@ -116,11 +79,7 @@ _MEMO = TraceMemo(max_entries=64)
 
 
 def _workload(name: str, scale: float) -> MemoizedWorkload:
-    if name == "HSR":
-        wl = Workload(_HSR_SPEC, scale)
-    else:
-        wl = benchmark(name, scale=scale)
-    return MemoizedWorkload(wl, _MEMO)
+    return MemoizedWorkload(benchmark(name, scale=scale), _MEMO)
 
 
 def build_manager(pair: str, scale: float, sms: int, warps: int,
@@ -178,18 +137,16 @@ def run_once(pcfg, kernel, drive, context):
 
 
 def _pair_config(entry, args):
-    key, pair, warps_override, scale_mult = entry
-    warps = args.warps if warps_override is None else warps_override
-    return key, (pair, args.scale * scale_mult, args.sms, warps)
+    key, pair = entry
+    return key, (pair, args.scale, args.sms, args.warps)
 
 
 def measure_pair(pcfg, repeats):
     """Warm-up (identity checks) plus interleaved timed rounds.
 
     Returns the per-pair record: per-side run lists with
-    median/min/max work-normalized events/sec, the canonical event
-    count, paired speedups vs PR-4 and vs seed, and the engine's
-    fold statistics.
+    median/min/max events/sec, the canonical event count, and paired
+    speedups vs PR-4 and vs seed.
     """
     # -- warm-up: one run per side, doubling as the identity check ----
     warm = {}
@@ -198,18 +155,18 @@ def measure_pair(pcfg, repeats):
         warm[name] = events
         if name == "engine":
             engine_stats = dict(manager.sim.stats.snapshot())
-            fastpath = manager.gpu.fastpath_stats()
         elif name == "pr4_reference":
             if dict(manager.sim.stats.snapshot()) != engine_stats:
                 raise SystemExit(
-                    f"{pcfg[0]}: engine (fold on) and pr4_reference produced "
+                    f"{pcfg[0]}: engine and pr4_reference produced "
                     "different stats snapshots — byte-identity broken")
     canonical = warm["pr4_reference"]
-    if warm["seed_reference"] != canonical:
-        raise SystemExit(
-            f"{pcfg[0]}: pr4_reference and seed_reference fired different "
-            f"event counts ({canonical} vs {warm['seed_reference']}) — "
-            "determinism broken")
+    for name in ("engine", "seed_reference"):
+        if warm[name] != canonical:
+            raise SystemExit(
+                f"{pcfg[0]}: {name} and pr4_reference fired different "
+                f"event counts ({warm[name]} vs {canonical}) — "
+                "determinism broken")
 
     # -- timed rounds, interleaved across the three sides -------------
     sides = {name: {"events": warm[name], "runs": []} for name, *_ in ENGINES}
@@ -249,7 +206,6 @@ def measure_pair(pcfg, repeats):
         "speedup_vs_seed": statistics.median(ratios_seed),
         "ratios_vs_pr4": ratios_pr4,
         "ratios_vs_seed": ratios_seed,
-        "fastpath": fastpath,
     }
 
 
@@ -314,7 +270,6 @@ def component_profile(pcfg, top: int = 12) -> dict:
     profiler = EngineProfiler()
     with profiler.attach(manager.sim):
         manager.run()
-    profiler.note_fold_rungs(manager.gpu.fastpath_stats())
     return profiler.summary(top=top)
 
 
@@ -365,8 +320,7 @@ def main(argv=None) -> int:
         print(f"{key} ({record['pair']}): "
               f"engine {record['engine']['events_per_sec']:,.0f} ev/s, "
               f"{record['speedup_vs_pr4']:.2f}x vs pr4, "
-              f"{record['speedup_vs_seed']:.2f}x vs seed, "
-              f"hit-path {record['fastpath']['hit_path_fraction']:.1%} "
+              f"{record['speedup_vs_seed']:.2f}x vs seed "
               f"({record['canonical_events']} events)")
 
     payload = {

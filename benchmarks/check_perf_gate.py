@@ -26,17 +26,6 @@ from pathlib import Path
 
 GATED_METRICS = ("speedup_vs_pr4", "speedup_vs_seed")
 
-#: Miss-path fold engagement ratios (the per-pair ``fastpath`` record,
-#: DESIGN.md §14): gated so a walk rung cannot silently disengage.  Each
-#: is gated **only when the committed baseline carries the key** — older
-#: baselines predate the walk rungs, and a missing key must neither
-#: crash the gate nor fail it.  A fresh run *losing* a key the baseline
-#: has is a regression (the benchmark stopped reporting the rung).
-FASTPATH_GATED_METRICS = (
-    "hit_path_fraction",
-    "l2_fold_fraction",
-    "dram_batch_fraction",
-)
 
 def compare(baseline: dict, fresh: dict, tolerance: float) -> list:
     """Return a list of human-readable regression descriptions."""
@@ -57,23 +46,6 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> list:
             if got < floor:
                 failures.append(
                     f"{key}: {metric} {got:.3f} < {floor:.3f} "
-                    f"(baseline {base:.3f} - {tolerance:.0%})")
-        base_fastpath = base_pairs[key].get("fastpath") or {}
-        fresh_fastpath = fresh_pairs[key].get("fastpath") or {}
-        for metric in FASTPATH_GATED_METRICS:
-            base = base_fastpath.get(metric)
-            if base is None:
-                continue  # baseline predates this rung: nothing to hold
-            got = fresh_fastpath.get(metric)
-            if got is None:
-                failures.append(
-                    f"{key}: fastpath.{metric} missing from fresh results "
-                    f"(baseline {base:.3f}) — the rung stopped reporting")
-                continue
-            floor = base * (1.0 - tolerance)
-            if got < floor:
-                failures.append(
-                    f"{key}: fastpath.{metric} {got:.3f} < {floor:.3f} "
                     f"(baseline {base:.3f} - {tolerance:.0%})")
     return failures
 

@@ -54,21 +54,6 @@ from repro.workloads.suite import BENCHMARKS, benchmark
 POLICIES = ("baseline", "static", "dws", "dwspp", "mask", "mask+dws")
 
 
-def _add_fastpath(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the latency-folding fast path "
-                             "entirely (publishes REPRO_FASTPATH=0; "
-                             "results are byte-identical either way — "
-                             "this trades speed for the canonical "
-                             "per-stage event stream)")
-    parser.add_argument("--fastpath-walk", choices=("on", "off"),
-                        default=None,
-                        help="toggle just the walk-path fold rungs "
-                             "(L2 TLB hits, DRAM batching; publishes "
-                             "REPRO_FASTPATH_WALK; default: inherit the "
-                             "environment, else on)")
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.5,
                         help="workload length multiplier (default 0.5)")
@@ -119,28 +104,6 @@ def _install_integrity(args) -> Optional[str]:
     return previous
 
 
-def _install_fastpath(args):
-    """Publish the fastpath switches, when given.
-
-    Returns the previous ``(REPRO_FASTPATH, REPRO_FASTPATH_WALK)``
-    values so :func:`main` can restore them — same no-leak contract as
-    :func:`_install_integrity` (tests drive ``main()`` in-process, and
-    campaign worker processes inherit the variables).
-    """
-    import os
-
-    from repro.gpu.gpu import FASTPATH_ENV, FASTPATH_WALK_ENV
-
-    previous = (os.environ.get(FASTPATH_ENV),
-                os.environ.get(FASTPATH_WALK_ENV))
-    if getattr(args, "no_fastpath", False):
-        os.environ[FASTPATH_ENV] = "0"
-    walk = getattr(args, "fastpath_walk", None)
-    if walk is not None:
-        os.environ[FASTPATH_WALK_ENV] = "1" if walk == "on" else "0"
-    return previous
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -160,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICIES, default="dws")
     p.add_argument("--profile-breakdown", action="store_true",
                    help="attach the engine profiler and print the top "
-                        "callsites by delivery count (queue events and "
-                        "folded completions)")
-    _add_fastpath(p)
+                        "callsites by event count")
     _add_common(p)
 
     p = sub.add_parser("compare", help="compare policies on one pair")
@@ -214,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="byte quota on the result cache; the write path "
                         "evicts least-recently-accessed entries to fit "
                         "(default: no quota)")
-    _add_fastpath(p)
     _add_common(p)
 
     p = sub.add_parser(
@@ -528,8 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     previous = _install_integrity(args) if hasattr(args, "audit") else None
-    previous_fastpath = (_install_fastpath(args)
-                         if hasattr(args, "no_fastpath") else None)
     try:
         return COMMANDS[args.command](args)
     except SimulationError as exc:
@@ -550,14 +508,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 os.environ.pop(INTEGRITY_ENV, None)
             else:
                 os.environ[INTEGRITY_ENV] = previous
-        if previous_fastpath is not None:
-            from repro.gpu.gpu import FASTPATH_ENV, FASTPATH_WALK_ENV
-            for env, value in zip((FASTPATH_ENV, FASTPATH_WALK_ENV),
-                                  previous_fastpath):
-                if value is None:
-                    os.environ.pop(env, None)
-                else:
-                    os.environ[env] = value
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,167 +39,12 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import List, Optional
+from typing import List
 
 #: Default ring span in cycles.  Delays beyond this fall back to the
 #: overflow heap, so the value only trades memory for heap traffic; the
 #: simulator's latencies (DRAM ~160 cycles plus queueing) sit far below.
 DEFAULT_WINDOW = 4096
-
-#: Sentinel distinguishing "no entry at this time" from the ``None``
-#: marker :meth:`CompletionBatches.add_lazy` leaves behind a direct
-#: (unbatched) first completion.
-_NO_BATCH = object()
-
-
-class CompletionBatches:
-    """Per-timestamp batched callback lists for the zero-event fast path.
-
-    The latency-folding fast path (see DESIGN.md §12) computes an
-    access's completion time arithmetically instead of threading it
-    through per-stage events.  Those folded completions still have to
-    fire at their computed cycle, but they need none of the event
-    machinery — no cancellation handle, no ordering against each other
-    beyond FIFO.  This store keeps one plain ``(fn, args)`` list per
-    timestamp; the event queue schedules a single *carrier* event per
-    distinct timestamp which drains the whole list, so N folded
-    completions at one cycle cost one heap entry and zero Event
-    allocations.
-
-    FIFO order within a batch is append order, matching the order the
-    equivalent per-stage events would have fired in (folds are applied
-    in issue order, and same-cycle events fire in schedule order).
-
-    ``delivery_observer`` is an optional per-callback hook used by
-    :class:`~repro.engine.profile.EngineProfiler` so batched deliveries
-    stay visible in the per-callsite breakdown; ``None`` (the default)
-    costs one comparison per batch, not per callback.
-    """
-
-    __slots__ = ("_pending", "_adds", "delivery_observer", "halt",
-                 "requeue")
-
-    def __init__(self) -> None:
-        self._pending: dict = {}
-        self._adds = 0
-        self.delivery_observer = None
-        # ``halt`` is raised by Simulator.stop() so a stop issued from
-        # inside a batched delivery freezes the rest of the batch —
-        # the unfolded kernel leaves those completions as undelivered
-        # queue entries, and fold identity requires the batched path
-        # to stop at the same delivery.  ``requeue`` (set by the owning
-        # queue) re-schedules a carrier for the frozen tail so a
-        # resumed run delivers it exactly where the unfolded kernel
-        # would.
-        self.halt = False
-        self.requeue = None
-
-    def add(self, time: int, fn, args=()) -> bool:
-        """Append ``fn(*args)`` to the batch at ``time``.
-
-        Returns ``True`` when this was the first callback at ``time`` —
-        the caller must then schedule one carrier event that calls
-        :meth:`fire` at that cycle.
-        """
-        pending = self._pending
-        batch = pending.get(time)
-        if batch is None:
-            pending[time] = [(fn, args)]
-            return True
-        batch.append((fn, args))
-        return False
-
-    def add_lazy(self, time: int, fn, args, now: int) -> int:
-        """Like :meth:`add`, but the first callback at ``time`` stays a
-        direct raw entry — most timestamps only ever get one completion,
-        and a batch-of-one costs strictly more than the entry it
-        replaces (list + tuple churn, a carrier frame, the observer
-        check).  Returns what the caller must schedule:
-
-        * ``1`` — first callback at ``time``: push ``fn``/``args``
-          directly; it keeps its exact canonical slot.
-        * ``2`` — second callback: a batch was opened holding it; push
-          one carrier for :meth:`fire` at this slot.  Members two
-          onward drain here, in append order — the same compression
-          :meth:`add` applies to every member, now anchored one slot
-          closer to the canonical schedule.
-        * ``0`` — appended to the open batch; push nothing.
-
-        ``now`` (the current cycle) bounds the amortized sweep that
-        drops the direct-entry markers once their cycle has passed;
-        singleton timestamps never reach :meth:`fire`, so without the
-        sweep the marker dict would grow for the whole run.
-        """
-        pending = self._pending
-        batch = pending.get(time, _NO_BATCH)
-        if batch is _NO_BATCH:
-            self._adds += 1
-            if self._adds >= 4096:
-                self._adds = 0
-                for stale in [t for t, b in pending.items()
-                              if b is None and t < now]:
-                    del pending[stale]
-            pending[time] = None
-            return 1
-        if batch is None:
-            pending[time] = [(fn, args)]
-            return 2
-        batch.append((fn, args))
-        return 0
-
-    def fire(self, time: int) -> None:
-        """Deliver and discard every callback batched at ``time``.
-
-        A :meth:`halt <Simulator.stop>` raised by a delivery freezes
-        the remainder of the batch (see ``halt`` above): the tail is
-        re-registered and a fresh carrier scheduled, so it is dropped
-        if the run ends and delivered in order if the run resumes.
-        """
-        batch = self._pending.pop(time, None)
-        if batch is None:
-            # a frozen tail merged into a younger batch can leave one
-            # extra carrier behind; it finds nothing to deliver
-            return
-        observer = self.delivery_observer
-        if observer is None:
-            for i, (fn, args) in enumerate(batch):
-                if self.halt:
-                    self._freeze_tail(time, batch[i:])
-                    return
-                fn(*args)
-        else:
-            for i, (fn, args) in enumerate(batch):
-                if self.halt:
-                    self._freeze_tail(time, batch[i:])
-                    return
-                observer(fn)
-                fn(*args)
-
-    def _freeze_tail(self, time: int, rest: list) -> None:
-        """Put an undelivered batch tail back for a possible resume."""
-        existing = self._pending.get(time)
-        if existing:
-            # callbacks batched at ``time`` *during* this delivery run
-            # are younger than the frozen tail: keep FIFO order.
-            self._pending[time] = rest + existing
-        else:
-            self._pending[time] = rest
-        if self.requeue is not None:
-            self.requeue(time, self.fire, (time,))
-
-    def pending_callbacks(self) -> int:
-        """Callbacks batched but not yet delivered (diagnostics).
-
-        Direct-entry markers left by :meth:`add_lazy` hold no callback —
-        the completion rides its own queue entry — so they don't count.
-        """
-        return sum(len(batch) for batch in self._pending.values()
-                   if batch is not None)
-
-    def __len__(self) -> int:
-        """Distinct timestamps with an undelivered batch."""
-        return sum(1 for batch in self._pending.values()
-                   if batch is not None)
 
 
 class CalendarQueue:

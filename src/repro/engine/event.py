@@ -15,10 +15,12 @@ via ``sys.getrefcount`` on CPython), so the cancellation API keeps its
 seed semantics — a held event handle always refers to the schedule entry
 it came from.
 
-:class:`HeapEventQueue` preserves the seed binary-heap kernel verbatim.
-It is not used on any production path; differential tests and the engine
-throughput benchmark run it side by side with the calendar kernel to
-pin down ordering equivalence and speedup.
+:class:`HeapEventQueue` is the seed binary-heap kernel plus the two
+entry points the shipping simulator calls (``push_raw`` and
+``run_fast``), both Event-backed.  It is not used on any production
+path; differential tests and the engine throughput benchmark run it side
+by side with the calendar kernel to pin down ordering equivalence and
+speedup.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import sys
 from heapq import heappop
 from typing import Any, Callable, Optional, Tuple
 
-from repro.engine.calendar import (DEFAULT_WINDOW, CalendarQueue,
-                                   CompletionBatches)
+from repro.engine.calendar import DEFAULT_WINDOW, CalendarQueue
 
 
 class Event:
@@ -122,8 +123,6 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         self._free: list = []
-        self._batches = CompletionBatches()
-        self._batches.requeue = self.push_raw
 
     def __len__(self) -> int:
         return self._live
@@ -174,29 +173,6 @@ class EventQueue:
             self.push_packed(time, fn, args)
             return
         self._live += 1
-
-    def schedule_batch(self, time: int, fn: Callable[..., Any],
-                       args: Tuple[Any, ...] = ()) -> None:
-        """Batched scheduling for the latency-folding fast path.
-
-        Appends ``fn(*args)`` to the per-timestamp completion list
-        (:class:`~repro.engine.calendar.CompletionBatches`); only the
-        first callback at a given ``time`` pays for a heap entry — the
-        carrier event that drains the batch.  No handle is returned:
-        batched callbacks cannot be cancelled, which is exactly the
-        contract of folded completions (nothing ever holds them).
-        """
-        if self._batches.add(time, fn, args):
-            self.push_raw(time, self._batches.fire, (time,))
-
-    @property
-    def delivery_observer(self):
-        """Per-callback hook for batched deliveries (profiler use)."""
-        return self._batches.delivery_observer
-
-    @delivery_observer.setter
-    def delivery_observer(self, hook) -> None:
-        self._batches.delivery_observer = hook
 
     # ------------------------------------------------------------------
     # Extraction
@@ -303,19 +279,19 @@ class EventQueue:
 
 
 class HeapEventQueue:
-    """The seed binary-heap kernel, kept verbatim as a reference.
+    """The seed binary-heap kernel, kept as a reference.
 
     Used by differential tests and ``bench_engine_throughput.py`` to
     check ordering equivalence with, and measure speedup over, the
-    calendar kernel.  ``recycle`` is a no-op so the modern run loop can
-    drive it unchanged.
+    calendar kernel.  Beyond the seed's push/pop/peek it carries
+    Event-backed ``push_raw`` and a plain ``run_fast`` loop, and
+    ``recycle`` is a no-op, so the modern simulator can drive it
+    unchanged.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = itertools.count()
-        self._batches = CompletionBatches()
-        self._batches.requeue = self.push_raw
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -351,21 +327,6 @@ class HeapEventQueue:
             event.fn(*event.args)
             fired += 1
         return fired
-
-    def schedule_batch(self, time: int, fn: Callable[..., Any],
-                       args: Tuple[Any, ...] = ()) -> None:
-        """Same batched-completion semantics as :class:`EventQueue`, so
-        the kernels stay differentially comparable with folding on."""
-        if self._batches.add(time, fn, args):
-            self.push_raw(time, self._batches.fire, (time,))
-
-    @property
-    def delivery_observer(self):
-        return self._batches.delivery_observer
-
-    @delivery_observer.setter
-    def delivery_observer(self, hook) -> None:
-        self._batches.delivery_observer = hook
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``."""

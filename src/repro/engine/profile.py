@@ -34,14 +34,12 @@ class EngineProfiler:
 
     def __init__(self) -> None:
         self.events = 0
-        self.batched_deliveries = 0
         self.wall_seconds = 0.0
         self.component_counts: Dict[str, int] = {}
+        #: Always empty: every delivery is a queue event, counted in
+        #: ``component_counts``.  Kept only because
+        #: ``perfbench/layers.py`` still reads it.
         self.delivery_counts: Dict[str, int] = {}
-        #: per-rung fold tallies (``Gpu.fastpath_stats``), recorded by
-        #: the harness via :meth:`note_fold_rungs` after a profiled run:
-        #: how many completions each fold rung absorbed from the queue.
-        self.fold_rungs: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Collection
@@ -64,59 +62,17 @@ class EngineProfiler:
         counts = self.component_counts
         counts[key] = counts.get(key, 0) + 1
 
-    def record_delivery(self, fn) -> None:
-        """Count one batched (folded) completion delivery.
-
-        Folded completions never appear as queue events — N of them
-        share one carrier event — so without this hook the breakdown
-        would show the carrier (``CompletionBatches.fire``) and lose
-        the callsites it delivered to.
-        """
-        self.batched_deliveries += 1
-        key = self._key(fn)
-        counts = self.delivery_counts
-        counts[key] = counts.get(key, 0) + 1
-
-    def note_fold_rungs(self, fastpath: Dict) -> None:
-        """Record the per-rung fold breakdown of a profiled run.
-
-        ``fastpath`` is ``Gpu.fastpath_stats()``; the profiler cannot
-        reach the GPU from the simulator it attaches to, so the harness
-        hands the tallies over after the run.  Keyed by rung (DESIGN.md
-        §12 hit fold; §14 walk rungs), values accumulate across runs
-        like every other profiler counter.
-        """
-        rungs = self.fold_rungs
-        for key, label in (("folded_accesses", "hit-fold"),
-                           ("folded_l2_tlb_hits", "l2-fold"),
-                           ("batched_dram_fetches", "dram-batch-fetch"),
-                           ("batched_dram_returns", "dram-batch-return")):
-            count = fastpath.get(key)
-            if count is not None:
-                rungs[label] = rungs.get(label, 0) + count
-
     @contextmanager
     def attach(self, sim) -> Iterator["EngineProfiler"]:
-        """Install on ``sim`` and time everything run while attached.
-
-        Also hooks the queue's batched-completion observer (when the
-        kernel has one) so folded deliveries are counted per callsite.
-        """
+        """Install on ``sim`` and time everything run while attached."""
         previous = sim.profiler
         sim.profiler = self
-        queue = sim.events
-        has_observer = hasattr(type(queue), "delivery_observer")
-        if has_observer:
-            previous_observer = queue.delivery_observer
-            queue.delivery_observer = self.record_delivery
         start = perf_counter()
         try:
             yield self
         finally:
             self.wall_seconds += perf_counter() - start
             sim.profiler = previous
-            if has_observer:
-                queue.delivery_observer = previous_observer
 
     # ------------------------------------------------------------------
     # Results
@@ -133,51 +89,22 @@ class EngineProfiler:
                         key=lambda item: (-item[1], item[0]))
         return ranked[:n]
 
-    def breakdown(self, top: int = 10) -> List[Tuple[str, int, str]]:
-        """The ``n`` busiest callsites across both delivery kinds.
-
-        Each row is ``(callsite, count, kind)`` with kind ``"event"``
-        (one queue entry fired per delivery) or ``"folded"`` (delivered
-        from a shared carrier's completion batch).  A callsite reached
-        both ways appears twice — the split *is* the information: it
-        shows how much of a component's traffic the fold absorbed.
-        """
-        rows = [(name, count, "event")
-                for name, count in self.component_counts.items()]
-        rows += [(name, count, "folded")
-                 for name, count in self.delivery_counts.items()]
-        rows.sort(key=lambda row: (-row[1], row[0], row[2]))
-        return rows[:top]
-
     def summary(self, top: int = 10) -> Dict:
         """JSON-portable view, as written into ``BENCH_engine.json``."""
-        summary = {
+        return {
             "events": self.events,
-            "batched_deliveries": self.batched_deliveries,
             "wall_seconds": self.wall_seconds,
             "events_per_sec": self.events_per_sec,
             "components": dict(self.top_components(top)),
-            "folded_deliveries": dict(sorted(
-                self.delivery_counts.items(),
-                key=lambda item: (-item[1], item[0]))[:top]),
         }
-        if self.fold_rungs:
-            summary["fold_rungs"] = dict(self.fold_rungs)
-        return summary
 
     def report(self, top: int = 10) -> str:
-        """Human-readable top-N table of where the deliveries went."""
-        total = self.events + self.batched_deliveries
+        """Human-readable top-N table of where the events went."""
         lines = [
-            f"{self.events} events (+{self.batched_deliveries} folded "
-            f"deliveries) in {self.wall_seconds:.3f}s "
+            f"{self.events} events in {self.wall_seconds:.3f}s "
             f"({self.events_per_sec:,.0f} events/sec)"
         ]
-        for name, count, kind in self.breakdown(top):
-            share = count / total if total else 0.0
-            lines.append(f"  {count:>10}  {share:6.1%}  {kind:<6}  {name}")
-        if self.fold_rungs:
-            lines.append("fold rungs: " + "  ".join(
-                f"{label} {count}" for label, count
-                in sorted(self.fold_rungs.items())))
+        for name, count in self.top_components(top):
+            share = count / self.events if self.events else 0.0
+            lines.append(f"  {count:>10}  {share:6.1%}  {name}")
         return "\n".join(lines)

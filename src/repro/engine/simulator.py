@@ -127,7 +127,7 @@ class Simulator:
         cancelled.  The hot scheduling path for component callbacks —
         nothing in the simulator ever cancels or holds those handles,
         and skipping the Event lifecycle is a first-order win (see
-        DESIGN.md §12)."""
+        DESIGN.md §8)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self.now}"
@@ -141,20 +141,6 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self.events.push_raw(self.now + delay, fn, args)
 
-    def batch_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` via the per-timestamp
-        completion batch: N calls for one cycle share a single event.
-
-        Used by the latency-folding fast path.  Unlike :meth:`at`, no
-        :class:`Event` handle is returned and the callback cannot be
-        cancelled.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self.now}"
-            )
-        self.events.schedule_batch(time, fn, args)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -163,17 +149,8 @@ class Simulator:
 
         Equivalent to a ``stop_when`` predicate turning true, without the
         per-event polling cost.  Cleared by the next :meth:`run` call.
-
-        Also halts the in-flight completion batch, if the stop came
-        from inside one: the unfolded kernel leaves same-cycle
-        completions after the stopping event undelivered, and fold
-        identity requires the batched fast path to stop at the same
-        delivery.
         """
         self._stop = True
-        batches = getattr(self.events, "_batches", None)
-        if batches is not None:  # reference kernels predate batching
-            batches.halt = True
 
     def step(self) -> bool:
         """Fire the next event.  Returns ``False`` when the queue is empty."""
@@ -203,9 +180,6 @@ class Simulator:
         self._running = True
         self._stop = False
         events = self.events
-        batches = getattr(events, "_batches", None)
-        if batches is not None:
-            batches.halt = False
         take = events.pop
         recycle = events.recycle
         profiler = self.profiler

@@ -22,7 +22,6 @@ of cache-unfriendly tenants straight to DRAM (PTE bypass).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -38,15 +37,6 @@ from repro.vm.page_table import PageTable
 from repro.vm.subsystem import PageWalkSubsystem
 from repro.vm.tlb import Tlb
 from repro.vm.walk import WalkRequest
-
-#: Kill switch for the latency-folding fast path (DESIGN.md §12); "0"
-#: disables every fold rung and restores the canonical event stream.
-FASTPATH_ENV = "REPRO_FASTPATH"
-#: Sub-switch for the walk-path rungs only (DESIGN.md §14); "0" keeps
-#: the hit fold while the L2-TLB/DRAM-batch rungs fall back to the
-#: event path.
-FASTPATH_WALK_ENV = "REPRO_FASTPATH_WALK"
-
 
 class TenantContext:
     """Everything the GPU tracks per co-running tenant."""
@@ -159,43 +149,6 @@ class Gpu:
             i: sim.stats.counter(f"l1tlb.sm{i}.mshr_stalls")
             for i in range(config.sm.num_sms)
         }
-
-        # Latency-folding fast path (DESIGN.md §12).  ``fold_enabled``
-        # is the kill switch (REPRO_FASTPATH=0 disables; tests and the
-        # benchmark toggle the attribute directly); folding additionally
-        # auto-disables whenever an audit hook is installed, so every
-        # audit level observes the canonical per-stage event stream.
-        # ``_pending_hits[sm]`` counts scheduled-but-undelivered
-        # unfolded L1-TLB-hit continuations: while one is in flight its
-        # deferred data-cache probe has not happened yet, so folding a
-        # later access would reorder the bank arithmetic.  The fold
-        # tallies are deliberately plain ints, not registry counters — a
-        # counter would appear in snapshots and break the folded ==
-        # unfolded byte-identity it exists to preserve.
-        self.fold_enabled = os.environ.get(FASTPATH_ENV, "1") != "0"
-        self._pending_hits: List[int] = [0] * config.sm.num_sms
-        self._folded_accesses = 0
-        self._unfolded_accesses = 0
-
-        # Walk-path folding (DESIGN.md §14): the same fold discipline
-        # one level down the translation path.  ``fold_walk_enabled`` is
-        # the sub-switch — REPRO_FASTPATH_WALK=0 disables just the walk
-        # rungs while the hit fold stays on — and every walk-rung gate
-        # also re-checks ``fold_enabled`` so killing the parent switch
-        # (env or attribute) restores the full event path.
-        self.fold_walk_enabled = os.environ.get(
-            FASTPATH_WALK_ENV, "1") != "0"
-        # Evented L2-TLB lookups in flight: while one is pending its
-        # deferred probe has not refreshed the LRU yet, so an eager fold
-        # probe issued behind it would reorder the recency updates.
-        self._l2_lookups_inflight = 0
-        self._pws_unique = self.walk_subsystems()
-        self._folded_l2_hits = 0
-        # Rung denominator for the L2 fold fraction reported by
-        # fastpath_stats(): evented L2 lookups.
-        self._unfolded_l2_lookups = 0
-        self.memory.l2.batch_gate = self
-        self.memory.dram.batch_gate = self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -321,44 +274,22 @@ class Gpu:
                       is_write: bool, on_done: Callable[[], None]) -> None:
         """Translate then access memory; ``on_done`` at data return.
 
-        When the whole access is combinational — L1 TLB hit plus an L1
-        data-cache hit on a quiescent path — its completion cycle is
-        computed arithmetically and ``on_done`` joins the per-timestamp
-        completion batch: zero per-stage events.  The first miss, MSHR
-        activity, back-pressure, pending unfolded probe, or installed
-        audit hook falls back to the per-stage event path, whose
-        behaviour is byte-identical to the pre-fold engine.
+        An L1 TLB hit resolves the frame at once and schedules the
+        data-cache probe one hit latency later as a single raw entry;
+        a miss continues through the translation MSHRs.
         """
         vpn = vaddr >> self._page_bits
         page_table = self.tenants[tenant_id].page_table
         page_table.ensure_mapped(vpn)
         offset = vaddr & self._page_mask
-        tlat = self.l1_tlbs[sm_id].probe_fast(tenant_id, vpn)
-        if tlat >= 0:
-            # L1 TLB hit: the translation itself is pure arithmetic.
+        if self.l1_tlbs[sm_id].lookup(tenant_id, vpn):
             sim = self.sim
             paddr = page_table.translate(vpn) * self._frame_bytes + offset
-            if (self.fold_enabled
-                    and sim.audit_hook is None
-                    and not self._pending_hits[sm_id]
-                    and not self._xlat_mshrs[sm_id]
-                    and not self.sms[sm_id]._mem_wait
-                    and self.memory.data_ready_fast(sm_id)):
-                completion = self.memory.data_probe_fast(
-                    sm_id, paddr, is_write, sim.now + tlat
-                )
-                if completion >= 0:
-                    self._folded_accesses += 1
-                    sim.events.schedule_batch(completion, on_done)
-                    return
-            self._unfolded_accesses += 1
-            self._pending_hits[sm_id] += 1
             sim.events.push_raw(
-                sim.now + tlat, self._deliver_hit,
+                sim.now + self._l1_hit_latency, self._deliver_hit,
                 (sm_id, paddr, is_write, on_done, tenant_id),
             )
             return
-        self._unfolded_accesses += 1
 
         def translated(frame: int) -> None:
             paddr = frame * self._frame_bytes + offset
@@ -372,9 +303,7 @@ class Gpu:
         """Issue a coalesced op's unique-page accesses back to back.
 
         ``on_done`` is invoked once per access (the SM passes a join
-        object).  Accesses that fold to the same completion cycle land
-        in the same batch, so a fully hit op costs one heap entry for
-        its entire hit subset.
+        object).
         """
         access = self.access_memory
         for _page, addr in accesses:
@@ -382,8 +311,7 @@ class Gpu:
 
     def _deliver_hit(self, sm_id: int, paddr: int, is_write: bool,
                      on_done: Callable[[], None], tenant_id: int) -> None:
-        """The unfolded L1-TLB-hit continuation: probe the data cache."""
-        self._pending_hits[sm_id] -= 1
+        """The L1-TLB-hit continuation: probe the data cache."""
         self.memory.data_access(sm_id, paddr, is_write, on_done, tenant_id)
 
     def _translate(self, sm_id: int, tenant_id: int, vpn: int,
@@ -391,17 +319,9 @@ class Gpu:
         l1 = self.l1_tlbs[sm_id]
         if l1.lookup(tenant_id, vpn):
             frame = self.tenants[tenant_id].page_table.translate(vpn)
-            self._pending_hits[sm_id] += 1
-            self.sim.post_after(self._l1_hit_latency, self._fire_pending_hit,
-                                sm_id, on_translated, frame)
+            self.sim.post_after(self._l1_hit_latency, on_translated, frame)
             return
         self._translate_miss(sm_id, tenant_id, vpn, on_translated)
-
-    def _fire_pending_hit(self, sm_id: int,
-                          on_translated: Callable[[int], None],
-                          frame: int) -> None:
-        self._pending_hits[sm_id] -= 1
-        on_translated(frame)
 
     def _translate_miss(self, sm_id: int, tenant_id: int, vpn: int,
                         on_translated: Callable[[int], None]) -> None:
@@ -417,51 +337,10 @@ class Gpu:
             return
         mshrs[key] = [on_translated]
         sim = self.sim
-        # Walk-fold rung (a): the L2-TLB lookup runs a fixed number of
-        # cycles after issue, so while no walk can complete (no insert
-        # can land) and no evented lookup is pending (no LRU refresh can
-        # interleave), its outcome is already determined here.  A hit
-        # folds to an eager probe plus a deferred counter tick at the
-        # lookup's canonical slot; a miss — or any open gate — falls
-        # through to the unchanged event path.
-        if (self.fold_walk_enabled and self.fold_enabled
-                and self.mask is None
-                and sim.audit_hook is None
-                and self._l2_lookups_inflight == 0
-                and self._walks_quiet()):
-            frame = self._l2_tlbs[tenant_id].fold_probe(tenant_id, vpn)
-            if frame is not None:
-                self._folded_l2_hits += 1
-                sim.events.push_raw(sim.now + self._l1_miss_step,
-                                    self._fold_l2_tick,
-                                    (sm_id, tenant_id, vpn, frame))
-                return
-        self._l2_lookups_inflight += 1
-        self._unfolded_l2_lookups += 1
         sim.events.push_raw(sim.now + self._l1_miss_step,
                             self._l2_tlb_lookup, (sm_id, tenant_id, vpn))
 
-    def _walks_quiet(self) -> bool:
-        """No walk in flight anywhere: nothing can insert into an L2 TLB
-        before a lookup issued this cycle would have probed it."""
-        for pws in self._pws_unique:
-            if pws._inflight:
-                return False
-        return True
-
-    def _fold_l2_tick(self, sm_id: int, tenant_id: int, vpn: int,
-                      frame: int) -> None:
-        """Deferred slot of a folded L2-TLB hit: the lookup counters tick
-        at the cycle the evented lookup ran, and the finish hop rides the
-        identical slot its ``post_after`` would have occupied."""
-        self._l2_tlbs[tenant_id].fold_count_hit()
-        sim = self.sim
-        sim.events.push_raw(sim.now + self._l2_hit_latency,
-                            self._finish_translation,
-                            (sm_id, tenant_id, vpn, frame, False))
-
     def _l2_tlb_lookup(self, sm_id: int, tenant_id: int, vpn: int) -> None:
-        self._l2_lookups_inflight -= 1
         l2 = self._l2_tlbs[tenant_id]
         hit = l2.lookup(tenant_id, vpn)
         if self.mask is not None:
@@ -513,35 +392,12 @@ class Gpu:
             # _translate may hit (no MSHR used) or allocate one; loop
             # re-checks capacity either way.
 
-    # ------------------------------------------------------------------
-    # Fast-path introspection (benchmark / tests; not simulated state)
-    # ------------------------------------------------------------------
     def fastpath_stats(self) -> Dict[str, float]:
-        """Fold tallies for the throughput benchmark's hit-path-fraction
-        report.  Execution metadata like ``events_fired`` — never part
-        of a snapshot, so folded and unfolded runs stay byte-identical.
+        """Empty: the engine has a single event path and no fold tallies.
+
+        Kept only because ``perfbench/layers.py`` still reads it.
         """
-        total = self._folded_accesses + self._unfolded_accesses
-        l2_total = self._folded_l2_hits + self._unfolded_l2_lookups
-        batched_fetches = self.memory.l2._batched_fetches
-        fetch_total = self.memory.l2._misses.value
-        return {
-            "folded_accesses": self._folded_accesses,
-            "unfolded_accesses": self._unfolded_accesses,
-            "hit_path_fraction": self._folded_accesses / total if total else 0.0,
-            "folded_l2_tlb_hits": self._folded_l2_hits,
-            "batched_dram_fetches": batched_fetches,
-            "batched_dram_returns": self.memory.dram._batched_returns,
-            # Per-rung fold fractions (DESIGN.md §14): how much of each
-            # stage's traffic the rung absorbed.  Denominators are the
-            # stage's own totals — L2 TLB lookups for rung (a), L2-miss
-            # fetches for rung (c) — so the fractions say which regime
-            # each pair exercises.
-            "l2_fold_fraction":
-                self._folded_l2_hits / l2_total if l2_total else 0.0,
-            "dram_batch_fraction":
-                batched_fetches / fetch_total if fetch_total else 0.0,
-        }
+        return {}
 
     # ------------------------------------------------------------------
     # Accounting: called by SMs

@@ -27,11 +27,10 @@ from repro.gpu.warp import Warp, WarpOp
 class _Join:
     """Countdown join for one coalesced memory op.
 
-    The GPU invokes it once per issued access (folded or evented); the
-    final invocation releases the warp.  A slotted object instead of a
-    per-op closure: the memory path runs once per warp op, and the
-    closure variant cost one cell object plus a fresh function object
-    each time.
+    The GPU invokes it once per issued access; the final invocation
+    releases the warp.  A slotted object instead of a per-op closure:
+    the memory path runs once per warp op, and the closure variant cost
+    one cell object plus a fresh function object each time.
     """
 
     __slots__ = ("sm", "warp", "remaining")

@@ -61,6 +61,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_exit
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig
@@ -358,18 +359,28 @@ class WorkerPool:
                 pass
         # Reap what we killed: an unjoined terminated child stays a
         # zombie until the parent waits on it, and a chaos run respawns
-        # pools repeatedly — leaking one zombie per respawn.  The join is
-        # bounded (terminate can race an uninterruptible state); anything
-        # that survives the shared deadline is logged and abandoned.
+        # pools repeatedly — leaking one zombie per respawn.  Exactly one
+        # thread may reap.  Once a dead worker's sentinel fires, the
+        # executor's management thread joins every worker itself
+        # (``terminate_broken``); a second ``waitpid`` from this thread
+        # would lose that race with ECHILD, which ``multiprocessing``
+        # reads as "not started yet", making a reaped worker look alive.
+        # Wait for that thread instead, and join the workers here only
+        # when it is not running.  The wait is bounded (terminate can
+        # race an uninterruptible state): a worker whose sentinel has not
+        # fired by the shared deadline is logged and abandoned.
         deadline = time.monotonic() + 5.0
-        stragglers = 0
-        for process in processes:
-            try:
-                process.join(max(0.0, deadline - time.monotonic()))
-                if process.is_alive():
-                    stragglers += 1
-            except Exception:
-                pass
+        manager = getattr(executor, "_executor_manager_thread", None)
+        if manager is not None and manager.is_alive():
+            manager.join(max(0.0, deadline - time.monotonic()))
+        else:
+            for process in processes:
+                try:
+                    process.join(max(0.0, deadline - time.monotonic()))
+                except Exception:
+                    pass
+        sentinels = [process.sentinel for process in processes]
+        stragglers = len(sentinels) - len(wait_for_exit(sentinels, timeout=0))
         if stragglers:
             warnings.warn(
                 f"WorkerPool.kill: {stragglers} worker process(es) "

@@ -157,7 +157,6 @@ class Session:
         )
         with profiler.attach(manager.sim):
             result = manager.run()
-        profiler.note_fold_rungs(manager.gpu.fastpath_stats())
         self.simulations_executed += 1
         self.prime(names, config, result)
         return result, profiler

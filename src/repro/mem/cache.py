@@ -15,9 +15,8 @@ proceed in parallel.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Tuple
 
-from repro.engine.calendar import CompletionBatches
 from repro.engine.config import CacheConfig
 from repro.engine.simulator import Simulator
 
@@ -85,19 +84,6 @@ class Cache:
         self._hit_latency = config.hit_latency
         self._mshr_entries = config.mshr_entries
         self._assoc = config.associativity
-        #: optional walk-fold gate (the Gpu); when set and its
-        #: ``fold_walk_enabled`` holds (and no audit hook is installed),
-        #: miss fetches to ``lower`` ride the per-timestamp completion
-        #: batch instead of one raw entry each (DESIGN.md §14).
-        self.batch_gate = None
-        self._batched_fetches = 0
-        # Private batch lane: fetch batches must not share a carrier
-        # with other components' batches at the same timestamp — a
-        # shared carrier sits at the *earliest* member's push slot, and
-        # a fetch riding, say, a DRAM return's carrier would overtake
-        # every entry pushed between the return and the fetch.  A
-        # per-component lane keeps each carrier at its own first push.
-        self._fetch_batches = CompletionBatches()
         stats = sim.stats
         self._hits = stats.counter(f"{name}.hits")
         self._misses = stats.counter(f"{name}.misses")
@@ -167,98 +153,12 @@ class Cache:
         entry.any_write = is_write
         self._mshrs[line] = entry
         # Fetch from the lower level after our own lookup latency.
-        gate = self.batch_gate
-        if (gate is not None and gate.fold_walk_enabled and gate.fold_enabled
-                and sim.audit_hook is None and gate.mask is None):
-            # Same-cycle fetches resolve the lower level's channel/bank
-            # state in one carrier pass.  Sound because every actor that
-            # touches the lower level synchronously at a given cycle
-            # (victim write-backs inside fills) was scheduled >= 100
-            # cycles ahead of any same-cycle fetch push, so the carrier
-            # never overtakes it; see DESIGN.md §14.  The first fetch at
-            # a cycle keeps its own (canonical) slot; a batch only opens
-            # when a second fetch actually lands on the same cycle.
-            batches = self._fetch_batches
-            fetch_args = (line * self._line_bytes, False,
-                          _Fill(self, line, tenant_id), tenant_id)
-            code = batches.add_lazy(done, self.lower.access, fetch_args,
-                                    sim.now)
-            if code == 1:
-                sim.events.push_raw(done, self.lower.access, fetch_args)
-            elif code == 2:
-                self._batched_fetches += 1
-                batches.delivery_observer = sim.events.delivery_observer
-                sim.events.push_raw(done, batches.fire, (done,))
-            else:
-                self._batched_fetches += 1
-            return
         sim.events.push_raw(
             done,
             self.lower.access,
             (line * self._line_bytes, False, _Fill(self, line, tenant_id),
              tenant_id),
         )
-
-    def probe_fast(self, addr: int, is_write: bool, at_time: int) -> int:
-        """Side-effect-complete hit probe for the latency-folding path.
-
-        Behaves exactly like the hit branch of :meth:`access` evaluated
-        at the (future) cycle ``at_time``, but without scheduling: on a
-        hit it applies the internal side effects — bank reservation, LRU
-        touch, dirty mark — and returns the absolute cycle the data is
-        available.  On a miss it returns ``-1`` having touched
-        *nothing*, so the caller can fall back to the ordinary event
-        path whose probe then runs the miss machinery unchanged.
-
-        Soundness rests on the caller guaranteeing quiescence: no other
-        probe of this cache may occur in the open interval
-        ``(now, at_time)``, so applying the bank arithmetic early with
-        ``start = max(at_time, bank_free[bank])`` reserves the bank in
-        the same order the deferred probes would have (see
-        :meth:`fast_ready` and DESIGN.md §12).
-
-        The **hit counter** is the one side effect that must not apply
-        early: the event path bumps it inside the deferred probe at
-        ``at_time`` (not at the completion!), so a ``sim.stop()`` can
-        land on either side of that tick and the snapshot must agree.
-        The fold therefore pushes the tick as a *raw entry at the probe
-        cycle* — created at the same moment the event path would have
-        pushed its probe, it lands at the identical FIFO position in
-        the identical ring bucket, so it fires exactly when the probe
-        would have and is dropped exactly when the probe would have
-        been.  (A completion batch is not equivalent: its carrier may
-        have been pushed earlier in the cycle by a previous fold, which
-        lets the tick overtake a same-cycle stop that the probe event
-        would not have survived.)  Bank/LRU/dirty state stays eager: it
-        is internal, never appears in a stats snapshot, and quiescence
-        makes early application order-equivalent.
-        """
-        line = addr // self._line_bytes
-        cache_set = self._sets[line % self._num_sets]
-        if line not in cache_set:
-            return -1
-        bank_free = self._bank_free
-        bank = line % self._banks
-        start = bank_free[bank]
-        if start < at_time:
-            start = at_time
-        bank_free[bank] = start + self.bank_cycles
-        done = start + self._hit_latency
-        self.sim.events.push_raw(at_time, self._count_hit, ())
-        cache_set.move_to_end(line)
-        if is_write:
-            cache_set[line] = True
-        return done
-
-    def _count_hit(self) -> None:
-        """Deferred hit tick for folded probes (see :meth:`probe_fast`)."""
-        self._hits.value += 1
-
-    def fast_ready(self) -> bool:
-        """True when no fill or replay can touch this cache before the
-        next scheduled event: folding is only sound while the cache has
-        neither outstanding misses nor overflow backlog."""
-        return not self._mshrs and not self._overflow
 
     def _bank_latency(self, line: int) -> int:
         """Hit latency plus bank serialization delay."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.engine.calendar import CompletionBatches
 from repro.engine.config import DramConfig
 from repro.engine.simulator import Simulator
 from repro.engine.stats import StatsRegistry
@@ -38,15 +37,6 @@ class Dram:
         self._channels = config.channels
         self._cycles_per_access = config.cycles_per_access
         self._access_latency = config.access_latency
-        #: optional walk-fold gate (the Gpu); when set and active,
-        #: same-cycle completions share one carrier entry each instead
-        #: of one raw entry per access (DESIGN.md §14).
-        self.batch_gate = None
-        self._batched_returns = 0
-        # Private batch lane (see Cache._fetch_batches): return batches
-        # keep their carrier at the first same-cycle return's own push
-        # slot instead of sharing a carrier with unrelated batches.
-        self._return_batches = CompletionBatches()
         stats: StatsRegistry = sim.stats
         self._accesses = stats.counter(f"{name}.accesses")
         self._queue_delay = stats.accumulator(f"{name}.queue_delay")
@@ -73,27 +63,6 @@ class Dram:
             start = now
         self._queue_delay.add(start - now)
         free[channel] = start + self._cycles_per_access
-        gate = self.batch_gate
-        if (gate is not None and gate.fold_walk_enabled and gate.fold_enabled
-                and sim.audit_hook is None and gate.mask is None):
-            # Every completion at a given cycle is a DRAM return (no
-            # other component schedules at this latency), so batching
-            # them preserves the event path's delivery order exactly:
-            # the first return keeps its own (canonical) slot and the
-            # carrier for the rest sits at the second return's push
-            # slot, draining in push order.
-            batches = self._return_batches
-            done = start + self._access_latency
-            code = batches.add_lazy(done, on_done, (), now)
-            if code == 1:
-                sim.events.push_raw(done, on_done, ())
-            elif code == 2:
-                self._batched_returns += 1
-                batches.delivery_observer = sim.events.delivery_observer
-                sim.events.push_raw(done, batches.fire, (done,))
-            else:
-                self._batched_returns += 1
-            return
         sim.events.push_raw(start + self._access_latency, on_done, ())
 
     def utilization_horizon(self) -> int:

@@ -51,27 +51,6 @@ class MemoryHierarchy:
         """An SM data access: L1 -> (NoC) -> L2 -> DRAM."""
         self.l1s[sm_id].access(paddr, is_write, on_done, tenant_id)
 
-    # ------------------------------------------------------------------
-    # Latency-folding fast path (DESIGN.md §12)
-    # ------------------------------------------------------------------
-    def data_ready_fast(self, sm_id: int) -> bool:
-        """True when ``sm_id``'s data path is quiescent enough to fold:
-        its L1 has no outstanding miss or overflow backlog, so nothing
-        can touch that cache between now and the folded probe time."""
-        return self.l1s[sm_id].fast_ready()
-
-    def data_probe_fast(self, sm_id: int, paddr: int, is_write: bool,
-                        at_time: int) -> int:
-        """Fold one SM data access: probe the L1 as of cycle ``at_time``.
-
-        Returns the absolute completion cycle on an L1 hit (side effects
-        applied, nothing scheduled), or ``-1`` on a miss with no side
-        effects — the caller then takes the ordinary :meth:`data_access`
-        event path, whose deferred probe runs the miss machinery
-        (MSHRs, NoC, L2, DRAM) exactly as before.
-        """
-        return self.l1s[sm_id].probe_fast(paddr, is_write, at_time)
-
     def walker_access(self, paddr: int, on_done: Callable[[], None],
                       tenant_id: int = 0) -> None:
         """A page-table walker access: straight to the shared L2."""

@@ -13,7 +13,7 @@ is produced.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.engine.config import TlbConfig
 from repro.engine.simulator import Simulator
@@ -31,7 +31,6 @@ class Tlb:
         self._num_sets = config.num_sets
         self._assoc = config.associativity
         self._entries = config.entries
-        self._hit_latency = config.hit_latency
         self._resident_by_tenant: Dict[int, int] = {}
         self._occupancy: Dict[int, object] = {}
         stats = sim.stats
@@ -60,53 +59,6 @@ class Tlb:
             return True
         self._misses.value += 1
         return False
-
-    def probe_fast(self, tenant_id: int, vpn: int) -> int:
-        """Side-effect-complete probe for the latency-folding path.
-
-        Identical side effects to :meth:`lookup` (lookup/hit/miss
-        counters, LRU refresh), but reports the outcome as a latency:
-        the TLB's hit latency on a hit, ``-1`` on a miss.  Lookups are
-        already synchronous, so this only saves the caller the config
-        attribute chain — and states the folding contract explicitly.
-        """
-        key = (tenant_id, vpn)
-        tlb_set = self._sets[vpn % self._num_sets]
-        self._lookups.value += 1
-        if key in tlb_set:
-            tlb_set.move_to_end(key)
-            self._hits.value += 1
-            return self._hit_latency
-        self._misses.value += 1
-        return -1
-
-    def fold_probe(self, tenant_id: int, vpn: int) -> Optional[int]:
-        """Hit-only eager probe for the walk-folding path (DESIGN.md §14).
-
-        The L2-TLB lookup of an L1-missed translation runs a fixed
-        number of cycles after issue, so while no walk can complete and
-        no evented lookup is in flight the probe outcome is already
-        determined at issue time.  On a hit this applies the LRU refresh
-        *now* — probes are applied in issue order, which is the order
-        the deferred lookups would have run in — and returns the cached
-        frame; the caller schedules :meth:`fold_count_hit` at the cycle
-        the evented lookup would have executed, so the lookup/hit
-        counters tick at their canonical slot.  On a miss nothing is
-        touched and ``None`` is returned: the caller falls back to the
-        ordinary event path, whose deferred lookup then probes (and
-        counts) exactly as before.
-        """
-        key = (tenant_id, vpn)
-        tlb_set = self._sets[vpn % self._num_sets]
-        if key not in tlb_set:
-            return None
-        tlb_set.move_to_end(key)
-        return tlb_set[key]
-
-    def fold_count_hit(self) -> None:
-        """Deferred lookup+hit tick for folded probes (:meth:`fold_probe`)."""
-        self._lookups.value += 1
-        self._hits.value += 1
 
     def insert(self, tenant_id: int, vpn: int, frame: int) -> None:
         """Fill a translation, evicting the set's LRU entry if needed."""

@@ -197,74 +197,3 @@ class TestSimulatorIntegration:
         sim.run()
         with pytest.raises(SimulationError):
             sim.at(4, _noop)
-
-
-class TestCompletionBatchHalt:
-    """stop() raised mid-batch must halt delivery at that callback.
-
-    The unfolded kernel stops at the event boundary; a same-cycle
-    completion batch is many logical events sharing one carrier, so the
-    batch must freeze its undelivered tail when a callback calls
-    ``stop()`` — otherwise the folded fast path observably over-delivers
-    relative to the serial schedule.
-    """
-
-    def test_stop_mid_batch_freezes_tail(self):
-        sim = Simulator()
-        fired = []
-        sim.batch_at(5, fired.append, "a")
-        sim.batch_at(5, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(5, fired.append, "c")
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_resume_delivers_frozen_tail(self):
-        sim = Simulator()
-        fired = []
-        sim.batch_at(5, fired.append, "a")
-        sim.batch_at(5, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(5, fired.append, "c")
-        sim.batch_at(9, fired.append, "d")
-        sim.run()
-        assert fired == ["a", "b"]
-        sim.run()  # resume: frozen tail first, then later work
-        assert fired == ["a", "b", "c", "d"]
-        assert sim.now == 9
-
-    def test_halt_matches_unbatched_schedule(self):
-        # Differential: the same three completions as plain events.
-        plain = Simulator()
-        fired_plain = []
-        plain.at(5, fired_plain.append, "a")
-        plain.at(5, lambda: (fired_plain.append("b"), plain.stop()))
-        plain.at(5, fired_plain.append, "c")
-        plain.run()
-
-        batched = Simulator()
-        fired_batched = []
-        batched.batch_at(5, fired_batched.append, "a")
-        batched.batch_at(5, lambda: (fired_batched.append("b"),
-                                     batched.stop()))
-        batched.batch_at(5, fired_batched.append, "c")
-        batched.run()
-        assert fired_batched == fired_plain == ["a", "b"]
-
-    def test_halt_respected_under_delivery_observer(self):
-        sim = Simulator()
-        observed = []
-        sim.events._batches.delivery_observer = observed.append
-        fired = []
-        sim.batch_at(3, fired.append, "a")
-        sim.batch_at(3, lambda: (fired.append("b"), sim.stop()))
-        sim.batch_at(3, fired.append, "c")
-        sim.run(stop_when=lambda: sim._stop)
-        assert fired == ["a", "b"]
-        assert len(observed) == 2  # observer saw exactly the delivered two
-
-    def test_next_run_clears_stale_halt(self):
-        sim = Simulator()
-        sim.stop()  # set halt without any batch in flight
-        fired = []
-        sim.batch_at(2, fired.append, "x")
-        sim.run()
-        assert fired == ["x"]

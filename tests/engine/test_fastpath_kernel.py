@@ -1,78 +1,11 @@
-"""Unit tests for the fast-path kernel primitives behind latency folding:
+"""Unit tests for the kernel's hot-path primitives:
 
-* :class:`CompletionBatches` — per-timestamp batched completion lists;
-* ``schedule_batch`` — one carrier event per distinct timestamp;
 * ``push_raw`` — handle-free raw entries, FIFO-ordered against Events;
 * ``run_fast`` — the fused pop/fire loop, equivalent to the pop loop.
 """
 
-import pytest
-
-from repro.engine.calendar import CompletionBatches
 from repro.engine.event import EventQueue, HeapEventQueue
 from repro.engine.simulator import Simulator
-
-
-class TestCompletionBatches:
-    def test_first_add_requests_carrier(self):
-        batches = CompletionBatches()
-        assert batches.add(5, lambda: None) is True
-        assert batches.add(5, lambda: None) is False
-        assert batches.add(6, lambda: None) is True
-        assert len(batches) == 2
-        assert batches.pending_callbacks() == 3
-
-    def test_fire_delivers_in_insertion_order_with_args(self):
-        batches = CompletionBatches()
-        order = []
-        batches.add(9, order.append, (1,))
-        batches.add(9, order.append, (2,))
-        batches.add(9, order.append, (3,))
-        batches.fire(9)
-        assert order == [1, 2, 3]
-        assert len(batches) == 0
-        assert batches.pending_callbacks() == 0
-
-    def test_delivery_observer_sees_each_callback(self):
-        batches = CompletionBatches()
-        seen = []
-        batches.delivery_observer = seen.append
-        fn_a, fn_b = (lambda: None), (lambda: None)
-        batches.add(3, fn_a)
-        batches.add(3, fn_b)
-        batches.fire(3)
-        assert seen == [fn_a, fn_b]
-
-
-@pytest.mark.parametrize("queue_cls", [EventQueue, HeapEventQueue])
-class TestScheduleBatch:
-    def test_one_carrier_per_timestamp(self, queue_cls):
-        sim = Simulator()
-        sim.events = queue_cls()
-        fired = []
-        for i in range(4):
-            sim.events.schedule_batch(10, fired.append, (i,))
-        sim.events.schedule_batch(20, fired.append, (99,))
-        # 4 same-cycle callbacks + 1 at another cycle = 2 carrier events
-        assert len(sim.events) == 2
-        events = sim.run()
-        assert events == 2
-        assert fired == [0, 1, 2, 3, 99]
-        assert sim.now == 20
-
-    def test_batch_fires_at_carrier_position(self, queue_cls):
-        """A batch drains where its carrier sits in same-cycle FIFO
-        order: callbacks batched before an ordinary push fire before
-        it, late additions to the same batch still ride the original
-        carrier."""
-        sim = Simulator()
-        sim.events = queue_cls()
-        order = []
-        sim.events.schedule_batch(7, order.append, ("batch-early",))
-        sim.events.push_raw(7, order.append, ("event",))
-        sim.events.schedule_batch(7, order.append, ("batch-late",))
-        sim.run()
-        assert order == ["batch-early", "batch-late", "event"]
 
 
 class TestRawEntries:

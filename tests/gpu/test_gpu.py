@@ -1,11 +1,22 @@
 """Integration tests for the assembled GPU."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.config import GpuConfig
 from repro.engine.simulator import Simulator
 from repro.gpu.gpu import Gpu
 from repro.gpu.warp import WarpOp
+from repro.tenancy.manager import MultiTenantManager
+from repro.tenancy.tenant import Tenant
+from repro.workloads.base import Workload
+from repro.workloads.suite import BENCHMARKS
+
+#: HS shrunk to a 4 KiB footprint: after its first walk every
+#: translation hits the L1 TLB, so no SM ever fills its MSHRs.
+L1_RESIDENT_SPEC = dataclasses.replace(BENCHMARKS["HS"], name="HS4K",
+                                       footprint_bytes=4096)
 
 
 def small_config(**kw):
@@ -167,3 +178,18 @@ class TestMaskIntegration:
         gpu.launch_warps(0, [stream([WarpOp(0, [0x1000])])])
         sim.drain()
         assert gpu.mask._lookups_this_epoch > 0
+
+
+def test_mshr_stall_counters_present_at_zero():
+    """The per-SM mshr_stalls counters appear in every snapshot, zero
+    when no stall occurred, so stalling and non-stalling runs of one
+    config share snapshot keys."""
+    config = GpuConfig.baseline(num_sms=4)
+    manager = MultiTenantManager(
+        config, [Tenant(0, Workload(L1_RESIDENT_SPEC, 0.5))],
+        warps_per_sm=1, seed=3)
+    result = manager.run()
+    keys = [k for k in result.stats
+            if k.startswith("l1tlb.") and k.endswith(".mshr_stalls")]
+    assert len(keys) == config.sm.num_sms
+    assert all(result.stats[k] == 0 for k in keys)

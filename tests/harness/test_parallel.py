@@ -1,6 +1,10 @@
 """Tests for the parallel batch runner."""
 
 import dataclasses
+import os
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -216,6 +220,51 @@ class TestWorkerPool:
         pool.kill()
         # No zombies left behind: every terminated worker was joined
         # (exitcode set means the parent reaped it).
+        for process in processes:
+            assert not process.is_alive()
+            assert process.exitcode is not None
+
+    def test_kill_waits_for_the_executor_to_reap(self, monkeypatch):
+        """kill() must not race the executor for its workers' exits.
+
+        Once a terminated worker's sentinel fires, the executor's
+        management thread reaps every worker itself.  A second
+        ``waitpid`` on the same child from kill()'s thread gets ECHILD,
+        which ``multiprocessing`` reads as "not started yet", so a dead
+        worker looked alive and kill() warned that it survived.  This
+        forces that order: the management thread reaps each worker
+        first and records its exit status late, and any other thread's
+        ``waitpid`` on a worker waits until that reap has happened.
+        """
+        pool = WorkerPool(2)
+        try:
+            run_jobs([tiny_job("a"), tiny_job("b", pair="FFT.HS")],
+                     workers=2, pool=pool)
+            executor = pool.executor
+            processes = list(executor._processes.values())
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        manager = executor._executor_manager_thread
+        reaped = {process.pid: threading.Event() for process in processes}
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            if pid not in reaped:
+                return real_waitpid(pid, options)
+            if threading.current_thread() is not manager:
+                reaped[pid].wait(timeout=5.0)
+                return real_waitpid(pid, options)
+            result = real_waitpid(pid, options)
+            if result[0] == pid:
+                reaped[pid].set()
+                time.sleep(0.2)  # reaped; exit status not yet recorded
+            return result
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pool.kill()
+        assert not [w for w in caught if "survived" in str(w.message)]
         for process in processes:
             assert not process.is_alive()
             assert process.exitcode is not None
