@@ -1,35 +1,36 @@
-"""Engine throughput benchmark: shipping engine vs PR-4 vs seed.
+"""Engine throughput benchmark: working tree vs PR-4 vs seed.
 
 Sweeps a pair triplet spanning the suite's contention classes and
 reports wall-clock events/sec for three engine generations side by
 side:
 
-* **engine** — the shipping kernel: calendar queue, handle-free raw
-  entries, the fused no-peek run loop and inlined component hot paths.
-* **pr4_reference** — the immediately preceding engine generation,
-  reconstructed verbatim by :mod:`_pr4_reference`: calendar queue with
-  per-event ``Event`` allocation plus free-list recycling, the PR-4 run
-  loop, and the PR-4 component bodies (no raw entries).
-* **seed_reference** — the original seed engine reconstructed verbatim
-  by :mod:`_seed_reference`: binary-heap queue, a run loop that peeks
-  and polls a ``stop_when`` predicate per event, and the seed component
-  hot paths.
+* **engine** — the working tree's ``src/``.
+* **pr4_reference** — the tree of commit :data:`PR4_SHA`, the engine
+  generation before raw entries and the fused run loop.
+* **seed_reference** — the tree of commit :data:`SEED_SHA`, the
+  original binary-heap engine with its peek-and-poll run loop.
 
-The three sides simulate the identical machine state and fire the
-identical events: the warm-up runs assert the engine's stats snapshot is
-byte-identical to PR-4's and that all three sides fire the same event
-count, so the ratio between sides is pure engine cost for identical
-work.
+Each side is its own git tree served by a long-lived child process
+(:mod:`_git_tree`), so a reference cannot inherit the code it is
+measured against, and every side pays the same process and pipe costs.
+Only ``manager.run()`` is timed, inside the child.  Every run is an
+identity check: all three sides must fire the same events and end on
+the same cycle, and every stats key a reference records must appear in
+the working tree's snapshot with an equal value — so the ratio between
+sides is pure engine cost for identical work.
 
-Methodology: per pair, one untimed warm-up per side (doubles as the
-identity check), then ``--repeats`` interleaved (engine, pr4, seed)
-rounds.  Interleaving matters — the effective CPU speed of a
-shared/virtualised host drifts on a scale of seconds, so timing all of
-one side first lets drift masquerade as (or mask) speedup.  Headline
-numbers are **medians** (of the per-round paired ratios for speedups,
-of the per-round rates for events/sec); min/max are recorded alongside.
-Workload traces are memoized at module level (:class:`TraceMemo`), so
-trace generation is warmed out of every timed region on every side.
+Methodology: per pair, one untimed warm-up run per side (it also
+generates the traces that every later run replays), then ``--repeats``
+interleaved (engine, pr4, seed) rounds.  Interleaving matters — the
+effective CPU speed of a shared/virtualised host drifts on a scale of
+seconds, so timing all of one side first lets drift masquerade as (or
+mask) speedup.  Headline numbers are **medians** (of the per-round
+paired ratios for speedups, of the per-round rates for events/sec);
+min/max are recorded alongside.
+
+The reference trees come from ``git archive``, so the checkout needs
+the full history (CI: ``fetch-depth: 0``).  ``--audit-overhead`` and
+the JSON's component profile measure the working tree in-process.
 
 Usage::
 
@@ -48,23 +49,32 @@ import os
 import statistics
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _pr4_reference import pr4_engine
-from _seed_reference import seed_engine
+from _git_tree import TreeChild, check_identity
 
-import repro.engine.simulator as simulator_module
 from repro.engine.config import GpuConfig
-from repro.engine.event import EventQueue, HeapEventQueue
 from repro.engine.profile import EngineProfiler
 from repro.tenancy.manager import MultiTenantManager
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import MemoizedWorkload, TraceMemo
 from repro.workloads.suite import benchmark
+
+#: "Simulation integrity layer" — the last engine before raw entries.
+PR4_SHA = "981e69f7f764"
+#: The growth seed's engine.
+SEED_SHA = "b172bd5278a2"
+
+#: (json key, git tree; None is the working tree), in round order.
+SIDES = (
+    ("engine", None),
+    ("pr4_reference", PR4_SHA),
+    ("seed_reference", SEED_SHA),
+)
 
 #: (json key, pair) — the contention sweep.
 PAIR_SWEEP = (
@@ -73,67 +83,26 @@ PAIR_SWEEP = (
     ("heavy", "GUPS.SAD"),
 )
 
-#: Module-level trace memo shared by every build on every side, so no
-#: timed region ever pays for trace generation.
+#: Trace memo for the in-process working-tree runs (audit overhead and
+#: the component profile), so no timed region pays for trace generation.
 _MEMO = TraceMemo(max_entries=64)
 
 
-def _workload(name: str, scale: float) -> MemoizedWorkload:
-    return MemoizedWorkload(benchmark(name, scale=scale), _MEMO)
+def build_manager(pair: str, scale: float, sms: int,
+                  warps: int) -> MultiTenantManager:
+    """An in-process working-tree manager for the pair."""
+    config = GpuConfig.baseline(num_sms=sms)
+    tenants = [Tenant(i, MemoizedWorkload(benchmark(name, scale=scale), _MEMO))
+               for i, name in enumerate(pair.split("."))]
+    return MultiTenantManager(config, tenants, warps_per_sm=warps, seed=0)
 
 
-def build_manager(pair: str, scale: float, sms: int, warps: int,
-                  kernel) -> MultiTenantManager:
-    """A manager for the pair, with the simulator kernel swapped in.
-
-    ``kernel=None`` leaves the kernel alone — the PR-4 side installs its
-    own queue via its patched ``Simulator``.
-    """
-    previous = simulator_module.EventQueue
-    if kernel is not None:
-        simulator_module.EventQueue = kernel
-    try:
-        config = GpuConfig.baseline(num_sms=sms)
-        tenants = [Tenant(i, _workload(name, scale))
-                   for i, name in enumerate(pair.split("."))]
-        return MultiTenantManager(config, tenants,
-                                  warps_per_sm=warps, seed=0)
-    finally:
-        simulator_module.EventQueue = previous
-
-
-def run_engine(manager: MultiTenantManager) -> int:
-    """The shipping fast path: stop() from the completion callback."""
-    return manager.run().events_fired
-
-
-def run_seed_style(manager: MultiTenantManager) -> int:
-    """The seed's drive loop: per-event stop_when polling, no stop()."""
-    for tenant in manager.tenants:
-        manager._launch(tenant)
-    return manager.sim.run(stop_when=manager._all_completed_once,
-                           max_events=manager.max_events)
-
-
-#: (json key, simulator kernel, drive function, patch context).  The
-#: reference contexts wrap construction too: the seed ``Walker.__init__``
-#: and the PR-4 ``Simulator``, for two, differ from the shipping ones.
-ENGINES = (
-    ("engine", EventQueue, run_engine, nullcontext),
-    ("pr4_reference", None, run_engine, pr4_engine),
-    ("seed_reference", HeapEventQueue, run_seed_style, seed_engine),
-)
-
-
-def run_once(pcfg, kernel, drive, context):
-    """One timed simulation; returns (events, wall seconds, manager)."""
-    pair, scale, sms, warps = pcfg
-    with context():
-        manager = build_manager(pair, scale, sms, warps, kernel)
-        start = time.perf_counter()
-        events = drive(manager)
-        elapsed = time.perf_counter() - start
-    return events, elapsed, manager
+def run_once(pcfg):
+    """One timed in-process working-tree run; returns (events, seconds)."""
+    manager = build_manager(*pcfg)
+    start = time.perf_counter()
+    events = manager.run().events_fired
+    return events, time.perf_counter() - start
 
 
 def _pair_config(entry, args):
@@ -141,46 +110,27 @@ def _pair_config(entry, args):
     return key, (pair, args.scale, args.sms, args.warps)
 
 
-def measure_pair(pcfg, repeats):
-    """Warm-up (identity checks) plus interleaved timed rounds.
+def measure_pair(children, pcfg, repeats):
+    """Warm-up plus interleaved timed rounds, identity-checked throughout.
 
     Returns the per-pair record: per-side run lists with
     median/min/max events/sec, the canonical event count, and paired
     speedups vs PR-4 and vs seed.
     """
-    # -- warm-up: one run per side, doubling as the identity check ----
-    warm = {}
-    for name, kernel, drive, context in ENGINES:
-        events, _, manager = run_once(pcfg, kernel, drive, context)
-        warm[name] = events
-        if name == "engine":
-            engine_stats = dict(manager.sim.stats.snapshot())
-        elif name == "pr4_reference":
-            if dict(manager.sim.stats.snapshot()) != engine_stats:
-                raise SystemExit(
-                    f"{pcfg[0]}: engine and pr4_reference produced "
-                    "different stats snapshots — byte-identity broken")
-    canonical = warm["pr4_reference"]
-    for name in ("engine", "seed_reference"):
-        if warm[name] != canonical:
-            raise SystemExit(
-                f"{pcfg[0]}: {name} and pr4_reference fired different "
-                f"event counts ({warm[name]} vs {canonical}) — "
-                "determinism broken")
+    def one_round():
+        replies = {name: child.run(*pcfg) for name, child in children.items()}
+        check_identity(pcfg[0], replies, working="engine")
+        return replies
 
-    # -- timed rounds, interleaved across the three sides -------------
-    sides = {name: {"events": warm[name], "runs": []} for name, *_ in ENGINES}
-    walls = {name: [] for name, *_ in ENGINES}
+    canonical = one_round()["engine"]["events_fired"]  # warm-up, untimed
+    sides = {name: {"events": canonical, "runs": []} for name in children}
+    walls = {name: [] for name in children}
     for _ in range(repeats):
-        for name, kernel, drive, context in ENGINES:
-            events, elapsed, _ = run_once(pcfg, kernel, drive, context)
-            if events != warm[name]:
-                raise SystemExit(
-                    f"{pcfg[0]}: {name} event count drifted between runs "
-                    f"({events} vs {warm[name]}) — determinism broken")
+        for name, reply in one_round().items():
+            elapsed = reply["wall_seconds"]
             walls[name].append(elapsed)
             sides[name]["runs"].append({
-                "events": events, "wall_seconds": elapsed,
+                "events": reply["events_fired"], "wall_seconds": elapsed,
                 "events_per_sec": canonical / elapsed,
             })
     for side in sides.values():
@@ -236,16 +186,12 @@ def measure_audit_overhead(pcfg, repeats):
 
     def run_plain():
         clear_install()
-        events, elapsed, _ = run_once(pcfg, EventQueue, run_engine,
-                                      nullcontext)
-        return events, elapsed
+        return run_once(pcfg)
 
     def run_off():
         install(IntegrityConfig(audit="off"))
         try:
-            events, elapsed, _ = run_once(pcfg, EventQueue, run_engine,
-                                          nullcontext)
-            return events, elapsed
+            return run_once(pcfg)
         finally:
             clear_install()
 
@@ -265,8 +211,7 @@ def measure_audit_overhead(pcfg, repeats):
 
 def component_profile(pcfg, top: int = 12) -> dict:
     """One extra profiled run for the per-callsite event breakdown."""
-    pair, scale, sms, warps = pcfg
-    manager = build_manager(pair, scale, sms, warps, EventQueue)
+    manager = build_manager(*pcfg)
     profiler = EngineProfiler()
     with profiler.attach(manager.sim):
         manager.run()
@@ -308,20 +253,23 @@ def main(argv=None) -> int:
     host = host_info()  # sampled before the sweep: pre-bench load
     pairs = {}
     heavy_pcfg = None
-    for entry in PAIR_SWEEP:
-        key, pcfg = _pair_config(entry, args)
-        if key == "heavy":
-            heavy_pcfg = pcfg
-        if key not in selected:
-            continue
-        record = measure_pair(pcfg, args.repeats)
-        record["key"] = key
-        pairs[key] = record
-        print(f"{key} ({record['pair']}): "
-              f"engine {record['engine']['events_per_sec']:,.0f} ev/s, "
-              f"{record['speedup_vs_pr4']:.2f}x vs pr4, "
-              f"{record['speedup_vs_seed']:.2f}x vs seed "
-              f"({record['canonical_events']} events)")
+    with ExitStack() as stack:
+        children = {name: stack.enter_context(TreeChild(sha))
+                    for name, sha in SIDES}
+        for entry in PAIR_SWEEP:
+            key, pcfg = _pair_config(entry, args)
+            if key == "heavy":
+                heavy_pcfg = pcfg
+            if key not in selected:
+                continue
+            record = measure_pair(children, pcfg, args.repeats)
+            record["key"] = key
+            pairs[key] = record
+            print(f"{key} ({record['pair']}): "
+                  f"engine {record['engine']['events_per_sec']:,.0f} ev/s, "
+                  f"{record['speedup_vs_pr4']:.2f}x vs pr4, "
+                  f"{record['speedup_vs_seed']:.2f}x vs seed "
+                  f"({record['canonical_events']} events)")
 
     payload = {
         "benchmark": "engine_throughput",
@@ -330,6 +278,7 @@ def main(argv=None) -> int:
         "warps_per_sm": args.warps,
         "repeats": args.repeats,
         "smoke": args.smoke,
+        "references": {name: sha for name, sha in SIDES if sha},
         "pairs": pairs,
         "host": host,
         "python": sys.version.split()[0],
@@ -337,8 +286,7 @@ def main(argv=None) -> int:
     if "heavy" in pairs:
         payload["profile"] = component_profile(heavy_pcfg)
     if args.audit_overhead or args.assert_audit_overhead is not None:
-        audit_pcfg = heavy_pcfg or _pair_config(PAIR_SWEEP[2], args)[1]
-        overhead, audit_ratios = measure_audit_overhead(audit_pcfg,
+        overhead, audit_ratios = measure_audit_overhead(heavy_pcfg,
                                                         args.repeats)
         payload["audit_off_overhead"] = overhead
         payload["audit_off_ratios"] = audit_ratios

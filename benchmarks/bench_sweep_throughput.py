@@ -1,6 +1,6 @@
-"""Campaign scheduler throughput benchmark: work-stealing vs PR-1 chunked.
+"""Campaign scheduler throughput benchmark: campaign vs the PR-1 tree.
 
-Executes the same multi-figure campaign two ways and reports wall time:
+Renders the same multi-figure campaign two ways and reports wall time:
 
 * **campaign** — the shipping scheduler
   (:func:`repro.harness.campaign.run_campaign`): one planning pass over
@@ -8,29 +8,32 @@ Executes the same multi-figure campaign two ways and reports wall time:
   deduplicated misses dispatched longest-expected-first to a persistent
   work-stealing process pool with per-worker trace memoization and
   incremental cache stores.
-* **pr1_chunked** — the previous orchestration, reconstructed verbatim:
-  each figure independently builds its job list and executes it through
-  :func:`repro.harness.parallel.run_jobs_chunked` (static ``pool.map``
-  chunk assignment, unsorted submission, per-job trace regeneration, no
-  sharing between figures — exactly what ``run_jobs`` offered before the
-  campaign layer existed).
+* **pr1_tree** — the tree of commit :data:`PR1_SHA`, the last one
+  before the campaign layer existed, served by a child process
+  (:mod:`_git_tree`).  The child renders each figure on its own fresh
+  ``Session`` with that tree's own ``ALL_EXPERIMENTS`` and
+  ``format_table``: serial, per-job trace regeneration, nothing shared
+  between figures — what ``repro experiment`` did for each figure then.
 
-Both sides start from a cold cache and must produce **byte-identical
-figure tables** (asserted on every repeat; the simulator is
-deterministic, so any divergence is a scheduler bug).  The run is
-interleaved (campaign, chunked, campaign, chunked, ...) because host
-CPU speed drifts on the scale of seconds; the headline ``speedup`` is
-the **median of paired wall-time ratios**, robust to a slow epoch
-hitting either side.  Results land in ``BENCH_sweep.json``.
+Both sides start cold and must produce **byte-identical figure tables**
+(asserted on every repeat; the simulator is deterministic, so any
+divergence is a bug).  The run is interleaved (campaign, tree,
+campaign, tree, ...) because host CPU speed drifts on the scale of
+seconds; the headline ``speedup`` is the **median of paired wall-time
+ratios**, robust to a slow epoch hitting either side.  Results land in
+``BENCH_sweep.json``.
 
 Where the win comes from: figures share most of their simulations
 (Figures 5/6/7 need the same Baseline/DWS/DWS++ runs and the same
 stand-alone baselines), so dedup alone removes a large fraction of the
 work; trace memoization removes repeated stream generation for the
-config variants of one pair; and on multi-core hosts the dynamic
-longest-first dispatch keeps stragglers off the tail.  On a single-core
-host only the first two apply — the reported ``speedup`` is therefore a
-*lower bound* for parallel machines.
+config variants of one pair; engine work since that commit makes each
+simulation cheaper; and the campaign's ``--workers`` processes run in
+parallel where the tree side runs serially, so on a multi-core host the
+ratio includes the parallel speedup too.
+
+The reference tree comes from ``git archive``, so the checkout needs
+the full history (CI: ``fetch-depth: 0``).
 
 Usage::
 
@@ -54,29 +57,26 @@ from pathlib import Path
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.harness.campaign import (
-    _experiment_kwargs,
-    plan_campaign,
-    run_campaign,
-)
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.parallel import WorkerPool, run_jobs_chunked
+from _git_tree import TreeChild
+from bench_engine_throughput import host_info
+
+from repro.harness.campaign import _experiment_kwargs, run_campaign
+from repro.harness.parallel import WorkerPool
 from repro.harness.reporting import format_table
 from repro.harness.runner import Session
+
+#: "Fast-path event kernel" — the last tree before the campaign layer.
+PR1_SHA = "84c30fbb6dbc"
 
 DEFAULT_FIGURES = "fig5,fig6,fig7"
 DEFAULT_PAIRS = "GUPS.MM,BLK.HS,SAD.MM,HS.MM,FFT.HS,GUPS.JPEG"
 
 
-def session_for(args, cache_dir=None) -> Session:
-    return Session(scale=args.scale, warps_per_sm=args.warps,
-                   seed=args.seed, cache_dir=cache_dir)
-
-
 def run_campaign_side(args, pool: WorkerPool) -> dict:
     """One cold-cache campaign run; returns timings + rendered tables."""
     with tempfile.TemporaryDirectory(prefix="bench_sweep_") as tmp:
-        session = session_for(args, cache_dir=tmp)
+        session = Session(scale=args.scale, warps_per_sm=args.warps,
+                          seed=args.seed, cache_dir=tmp)
         start = time.perf_counter()
         report = run_campaign(session, args.figures, pairs=args.pairs,
                               workers=args.workers, pool=pool)
@@ -94,30 +94,20 @@ def run_campaign_side(args, pool: WorkerPool) -> dict:
     }
 
 
-def run_chunked_side(args) -> dict:
-    """The PR-1 campaign: per-figure chunked run_jobs, nothing shared."""
-    start = time.perf_counter()
+def run_tree_side(args, tree: TreeChild) -> dict:
+    """The PR-1 tree renders each figure on its own, nothing shared."""
     tables = {}
+    elapsed = 0.0
     events = 0
     jobs_executed = 0
     for figure in args.figures:
-        # Each figure plans and executes on its own, as the old
-        # per-figure `run_jobs(pair_jobs(...))` pattern did.
-        session = session_for(args)
-        plan = plan_campaign(session, [figure], pairs=args.pairs)
-        jobs = list(plan.jobs.values())
-        relabeled = [job.__class__(
-            label=f"{i}/{job.label}", names=job.names, config=job.config,
-            scale=job.scale, warps_per_sm=job.warps_per_sm, seed=job.seed,
-            max_events=job.max_events) for i, job in enumerate(jobs)]
-        results = run_jobs_chunked(relabeled, workers=args.workers)
-        jobs_executed += len(relabeled)
-        events += sum(r.events_fired for r in results.values())
-        for job, relabel in zip(jobs, relabeled):
-            session.prime(job.names, job.config, results[relabel.label])
-        tables[figure] = format_table(ALL_EXPERIMENTS[figure](
-            session, **_experiment_kwargs(figure, args.pairs)))
-    elapsed = time.perf_counter() - start
+        reply = tree.figure(figure, _experiment_kwargs(figure, args.pairs),
+                            scale=args.scale, warps=args.warps,
+                            seed=args.seed)
+        tables[figure] = reply["table"]
+        elapsed += reply["wall_seconds"]
+        events += reply["events"]
+        jobs_executed += reply["simulations"]
     return {
         "wall_seconds": elapsed,
         "events": events,
@@ -129,28 +119,25 @@ def run_chunked_side(args) -> dict:
 
 def measure(args):
     """Warm-up pass per side, then ``--repeats`` interleaved pairs."""
-    pool = WorkerPool(args.workers)
-    try:
-        sides = {"campaign": {"runs": []}, "pr1_chunked": {"runs": []}}
-        ratios = []
+    sides = {"campaign": {"runs": []}, "pr1_tree": {"runs": []}}
+    ratios = []
+    with WorkerPool(args.workers) as pool, TreeChild(PR1_SHA) as tree:
         for repeat in range(args.repeats + 1):  # +1 warm-up, discarded
             campaign = run_campaign_side(args, pool)
-            chunked = run_chunked_side(args)
-            if campaign["tables"] != chunked["tables"]:
-                diverged = [f for f in campaign["tables"]
-                            if campaign["tables"][f] != chunked["tables"][f]]
+            reference = run_tree_side(args, tree)
+            diverged = [f for f in args.figures
+                        if campaign["tables"][f] != reference["tables"][f]]
+            if diverged:
                 raise SystemExit(
-                    f"schedulers produced different tables for "
-                    f"{', '.join(diverged)} — determinism broken")
+                    f"the campaign and the {PR1_SHA} tree rendered "
+                    f"different tables for {', '.join(diverged)}")
             if repeat == 0:
                 continue
             for name, run in (("campaign", campaign),
-                              ("pr1_chunked", chunked)):
+                              ("pr1_tree", reference)):
                 sides[name]["runs"].append(
                     {k: v for k, v in run.items() if k != "tables"})
-            ratios.append(chunked["wall_seconds"] / campaign["wall_seconds"])
-    finally:
-        pool.shutdown()
+            ratios.append(reference["wall_seconds"] / campaign["wall_seconds"])
     for side in sides.values():
         side["median_wall_seconds"] = sorted(
             r["wall_seconds"] for r in side["runs"])[len(side["runs"]) // 2]
@@ -185,6 +172,7 @@ def main(argv=None) -> int:
     args.figures = [f.strip() for f in args.figures.split(",") if f.strip()]
     args.pairs = [p.strip() for p in args.pairs.split(",") if p.strip()]
 
+    host = host_info()  # sampled before the sweep: pre-bench load
     sides, speedup, ratios = measure(args)
     campaign = sides["campaign"]
     last = campaign["runs"][-1]
@@ -198,9 +186,10 @@ def main(argv=None) -> int:
         "workers": args.workers,
         "repeats": args.repeats,
         "smoke": args.smoke,
-        "cpu_count": os.cpu_count(),
+        "reference": PR1_SHA,
+        "host": host,
         "campaign": campaign,
-        "pr1_chunked": sides["pr1_chunked"],
+        "pr1_tree": sides["pr1_tree"],
         "dedup": {
             "requested": last["jobs_requested"],
             "unique": last["jobs_executed"],
@@ -213,8 +202,8 @@ def main(argv=None) -> int:
     Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"{'+'.join(args.figures)} x {len(args.pairs)} pairs "
           f"scale={args.scale}: campaign "
-          f"{campaign['median_wall_seconds']:.2f}s vs pr1_chunked "
-          f"{sides['pr1_chunked']['median_wall_seconds']:.2f}s "
+          f"{campaign['median_wall_seconds']:.2f}s vs pr1_tree "
+          f"{sides['pr1_tree']['median_wall_seconds']:.2f}s "
           f"-> {speedup:.2f}x median of {len(ratios)} paired runs "
           f"({last['jobs_executed']} jobs for "
           f"{last['jobs_requested']} requests, json: {args.json})")

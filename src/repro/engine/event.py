@@ -18,9 +18,8 @@ it came from.
 :class:`HeapEventQueue` is the seed binary-heap kernel plus the two
 entry points the shipping simulator calls (``push_raw`` and
 ``run_fast``), both Event-backed.  It is not used on any production
-path; differential tests and the engine throughput benchmark run it side
-by side with the calendar kernel to pin down ordering equivalence and
-speedup.
+path; only the differential tests use it, running it side by side with
+the calendar kernel to pin down ordering equivalence.
 """
 
 from __future__ import annotations
@@ -279,12 +278,11 @@ class EventQueue:
 
 
 class HeapEventQueue:
-    """The seed binary-heap kernel, kept as a reference.
+    """The seed binary-heap kernel, kept as a test reference.
 
-    Used by differential tests and ``bench_engine_throughput.py`` to
-    check ordering equivalence with, and measure speedup over, the
-    calendar kernel.  Beyond the seed's push/pop/peek it carries
-    Event-backed ``push_raw`` and a plain ``run_fast`` loop, and
+    Only the differential tests use it, to check the calendar kernel's
+    ordering equivalence against it.  Beyond the seed's push/pop/peek it
+    carries Event-backed ``push_raw`` and a plain ``run_fast`` loop, and
     ``recycle`` is a no-op, so the modern simulator can drive it
     unchanged.
     """

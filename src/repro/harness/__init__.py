@@ -34,7 +34,6 @@ from repro.harness.parallel import (
     WorkerPool,
     pair_jobs,
     run_jobs,
-    run_jobs_chunked,
 )
 from repro.harness.supervision import (
     CampaignExecutionError,
@@ -111,7 +110,6 @@ __all__ = [
     "plan_campaign",
     "run_campaign",
     "run_jobs",
-    "run_jobs_chunked",
     "seed_study",
     "validate_result",
 ]

@@ -45,10 +45,9 @@ pool failures degrade execution to supervised in-process serial mode.
 The failure modes themselves are exercised deterministically by
 :mod:`repro.harness.faults` and ``tests/harness/test_chaos.py``.
 
-:func:`run_jobs_chunked` keeps the previous static ``pool.map``
-implementation verbatim — it is the reference side of
-``benchmarks/bench_sweep_throughput.py`` and of the differential tests,
-exactly as ``_seed_reference`` preserves the seed event kernel.
+The static ``pool.map`` scheduler this replaced lives on in git history
+(commit ``84c30fb``); ``benchmarks/bench_sweep_throughput.py`` runs that
+tree in a child process as its reference.
 """
 
 from __future__ import annotations
@@ -274,22 +273,6 @@ def _failure_domain(exc: BaseException) -> str:
     if isinstance(exc, faults.InjectedWorkerCrash):
         return DOMAIN_WORKER
     return DOMAIN_JOB
-
-
-def _execute_unmemoized(job: Job) -> Tuple[str, RunResult]:
-    """The PR-1 worker body: fresh trace generation for every job.
-
-    Only :func:`run_jobs_chunked` (the benchmark/differential reference)
-    uses this; memoization is bit-exact, so the results are identical
-    either way — this exists so the reference side does not silently
-    inherit the optimization it is measured against.
-    """
-    tenants = [Tenant(i, benchmark(name, scale=job.scale))
-               for i, name in enumerate(job.names)]
-    manager = MultiTenantManager(job.config, tenants,
-                                 warps_per_sm=job.warps_per_sm,
-                                 seed=job.seed, max_events=job.max_events)
-    return job.label, manager.run()
 
 
 def expected_cost(job: Job, cache: Optional[ResultCache] = None) -> float:
@@ -787,52 +770,3 @@ def run_jobs(jobs: Sequence[Job],
     # Return in the caller's job order, cache hits and fresh runs alike.
     # Under supervision, quarantined jobs are absent (see ``stats``).
     return {label: results[label] for label in labels if label in results}
-
-
-def run_jobs_chunked(jobs: Sequence[Job],
-                     workers: Optional[int] = None,
-                     cache: Optional[ResultCache] = None,
-                     chunksize: Optional[int] = None) -> Dict[str, RunResult]:
-    """The previous static scheduler, kept verbatim as a reference.
-
-    ``pool.map`` with chunked assignment, unsorted submission order,
-    per-job trace regeneration, and cache writes deferred until every
-    job has finished — the work-stealing scheduler in :func:`run_jobs`
-    is benchmarked against this in
-    ``benchmarks/bench_sweep_throughput.py`` and differentially tested
-    to produce identical results.
-    """
-    labels = [job.label for job in jobs]
-    if len(set(labels)) != len(labels):
-        raise ValueError("job labels must be unique")
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    results: Dict[str, RunResult] = {}
-    pending: List[Job] = list(jobs)
-    keys: Dict[str, str] = {}
-    if cache is not None:
-        pending = []
-        for job in jobs:
-            key = keys[job.label] = job_key(job)
-            cached = cache.get(key, job.max_events)
-            if cached is None:
-                pending.append(job)
-            else:
-                results[job.label] = cached
-
-    if pending:
-        if workers <= 1 or len(pending) <= 1:
-            executed = [_execute_unmemoized(job) for job in pending]
-        else:
-            if chunksize is None:
-                chunksize = max(1, len(pending) // (workers * 4))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                executed = list(pool.map(_execute_unmemoized, pending,
-                                         chunksize=chunksize))
-        for label, result in executed:
-            results[label] = result
-            if cache is not None:
-                cache.put(keys[label], result)
-
-    return {label: results[label] for label in labels}

@@ -100,9 +100,6 @@ class Cache:
     def _set_index(self, line: int) -> int:
         return line % self.config.num_sets
 
-    def _bank_of(self, line: int) -> int:
-        return line % self.config.banks
-
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
@@ -114,10 +111,10 @@ class Cache:
         tenant_id: int = 0,
     ) -> None:
         """Look up ``addr``; ``on_done`` fires when the data is available."""
-        # line_of / _bank_latency / _set_index inlined, counters bumped
-        # through their value field, and the scheduler entered through
-        # the handle-free raw push: this is the hottest component path
-        # in the simulator.
+        # Line, bank serialization and set index computed inline,
+        # counters bumped through their value field, and the scheduler
+        # entered through the handle-free raw push: this is the hottest
+        # component path in the simulator.
         line = addr // self._line_bytes
         bank_free = self._bank_free
         bank = line % self._banks
@@ -159,14 +156,6 @@ class Cache:
             (line * self._line_bytes, False, _Fill(self, line, tenant_id),
              tenant_id),
         )
-
-    def _bank_latency(self, line: int) -> int:
-        """Hit latency plus bank serialization delay."""
-        bank = self._bank_of(line)
-        now = self.sim.now
-        start = max(now, self._bank_free[bank])
-        self._bank_free[bank] = start + self.bank_cycles
-        return (start - now) + self.config.hit_latency
 
     def _on_fill(self, line: int, tenant_id: int) -> None:
         """The lower level returned the line: install it, wake waiters."""

@@ -64,7 +64,3 @@ class Dram:
         self._queue_delay.add(start - now)
         free[channel] = start + self._cycles_per_access
         sim.events.push_raw(start + self._access_latency, on_done, ())
-
-    def utilization_horizon(self) -> int:
-        """Latest busy cycle across channels (used by tests)."""
-        return max(self._channel_free)

@@ -42,9 +42,6 @@ class Tlb:
         # double-entry check on the lookup path.
         self._lookups = stats.counter(f"{name}.lookups")
 
-    def _set_for(self, vpn: int) -> OrderedDict:
-        return self._sets[vpn % self._num_sets]
-
     # ------------------------------------------------------------------
     # Lookup / fill
     # ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.harness.parallel import (
     expected_cost,
     pair_jobs,
     run_jobs,
-    run_jobs_chunked,
 )
 from repro.harness.result_cache import ResultCache, cost_key, job_key
 
@@ -169,20 +168,6 @@ class TestCostModel:
         job = tiny_job("a")
         run_jobs([job], workers=1, cache=cache)
         assert cache.expected_cost(cost_key(job)) is not None
-
-
-class TestChunkedReference:
-    def test_chunked_matches_dynamic_scheduler(self):
-        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS"),
-                tiny_job("c", seed=1)]
-        dynamic = run_jobs(jobs, workers=1)
-        chunked = run_jobs_chunked(jobs, workers=1)
-        assert list(chunked) == list(dynamic)
-        for label in dynamic:
-            assert (chunked[label].total_cycles
-                    == dynamic[label].total_cycles)
-            assert (chunked[label].tenants[0].instructions
-                    == dynamic[label].tenants[0].instructions)
 
 
 class TestWorkerPool:

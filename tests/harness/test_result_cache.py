@@ -8,7 +8,7 @@ import repro.harness.parallel as parallel_module
 from repro.engine.config import GpuConfig
 from repro.engine.simulator import EventBudgetExceeded
 from repro.harness import Session, faults
-from repro.harness.parallel import Job, run_jobs, run_jobs_chunked
+from repro.harness.parallel import Job, run_jobs
 from repro.harness.result_cache import (
     CACHE_FORMAT,
     COST_EMA_ALPHA,
@@ -237,12 +237,10 @@ class TestEventBudget:
             raise AssertionError("simulated a job the cache answers")
 
         monkeypatch.setattr(parallel_module, "_execute", boom)
-        monkeypatch.setattr(parallel_module, "_execute_unmemoized", boom)
-        for run in (run_jobs, run_jobs_chunked):
-            hits = cache.hits
-            answer = run([job], workers=1, cache=cache)["job"]
-            assert cache.hits == hits + 1
-            assert answer.stats == result.stats
+        hits = cache.hits
+        answer = run_jobs([job], workers=1, cache=cache)["job"]
+        assert cache.hits == hits + 1
+        assert answer.stats == result.stats
         session = Session(scale=SCALE, warps_per_sm=2,
                           max_events=result.events_fired,
                           cache_dir=str(cache.root))
@@ -253,11 +251,10 @@ class TestEventBudget:
     def test_smaller_budget_misses_and_raises_as_uncached(self, stored):
         cache, result = stored
         job = tiny_job(max_events=result.events_fired - 1)
-        for run in (run_jobs, run_jobs_chunked):
-            hits, misses = cache.hits, cache.misses
-            with pytest.raises(EventBudgetExceeded):
-                run([job], workers=1, cache=cache)
-            assert cache.hits == hits and cache.misses == misses + 1
+        hits, misses = cache.hits, cache.misses
+        with pytest.raises(EventBudgetExceeded):
+            run_jobs([job], workers=1, cache=cache)
+        assert cache.hits == hits and cache.misses == misses + 1
         session = Session(scale=SCALE, warps_per_sm=2,
                           max_events=job.max_events,
                           cache_dir=str(cache.root))
