@@ -5,11 +5,11 @@ baseline and exits non-zero if any pair's median ``speedup_vs_pr4``
 (or ``speedup_vs_seed``) fell more than ``--tolerance`` below the
 baseline value.
 
-The gate runs on *speedup ratios*, not raw events/sec: the ratios come
-from interleaved same-process runs, so the host's absolute speed —
-which varies wildly between CI runners and has nothing to do with the
-code — divides out.  Raw rates are still recorded in both files for
-eyeballing trends.
+The gate runs on *speedup ratios*, not raw events/sec: each side runs
+in its own child process and the rounds interleave the sides, so the
+host's absolute speed — which varies wildly between CI runners and has
+nothing to do with the code — divides out.  Raw rates are still
+recorded in both files for eyeballing trends.
 
 Usage::
 

@@ -1,290 +1,204 @@
-"""Event primitives and the fast-path event queue of the simulator.
+"""The simulator's event queue: a calendar of handle-free entries.
 
-Events are (time, sequence, callback) records.  The monotonically
-increasing sequence number breaks ties so that events scheduled for the
-same cycle fire in FIFO order — this determinism matters for
-reproducibility of queueing behaviour at the page walkers.
+An entry is a callback ``fn`` with its packed ``args``, scheduled at an
+integer cycle.  Entries scheduled for the same cycle fire in FIFO
+order — this determinism matters for reproducibility of queueing
+behaviour at the page walkers.  Nothing holds an entry once it is
+pushed, so there is no handle, no cancellation and no per-entry object.
 
-:class:`EventQueue` is the production kernel: a calendar/bucket queue
-(:mod:`repro.engine.calendar`) for O(1) scheduling of the short-delay
-events that dominate the simulator, plus a free list that recycles
-:class:`Event` objects through the common schedule → fire → discard
-lifecycle without allocating.  Recycling is invisible to callers: an
-event is only reused once no outside reference to it remains (checked
-via ``sys.getrefcount`` on CPython), so the cancellation API keeps its
-seed semantics — a held event handle always refers to the schedule entry
-it came from.
+:class:`EventQueue` is the production kernel, a calendar (bucket)
+queue.  The simulator's delays are short — TLB hit latencies, cache
+hops, interconnect and DRAM returns are all within a few hundred cycles
+of "now" — so almost every push and pop is O(1) with no comparisons at
+all.  Entries live in one of three regions, partitioned by timestamp
+relative to ``floor`` (the time of the last entry taken from the ring
+or the overflow heap):
 
-:class:`HeapEventQueue` is the seed binary-heap kernel plus the two
-entry points the shipping simulator calls (``push_raw`` and
-``run_fast``), both Event-backed.  It is not used on any production
-path; only the differential tests use it, running it side by side with
-the calendar kernel to pin down ordering equivalence.
+* **ring** — a power-of-two array of per-cycle buckets of ``(fn, args)``
+  pairs covering ``[floor, floor + window)``.  Because the window spans
+  exactly ``window`` consecutive cycles, every bucket holds entries of a
+  single timestamp, so FIFO order within a cycle is append order.
+* **overflow heap** — ``(time, seq, fn, args)`` at
+  ``time >= floor + window``.  When ``floor`` advances, newly covered
+  entries migrate into the ring in ``(time, seq)`` order, which is push
+  order; every later push to the same cycle appends behind them, so
+  same-cycle FIFO order survives migration.
+* **past heap** — ``(time, seq, fn, args)`` at ``time < floor``.  The
+  :class:`~repro.engine.simulator.Simulator` never schedules in the
+  past, but the raw queue API allows it, so correctness is kept for
+  stand-alone use.
+
+``seq`` is a push counter kept only as the heaps' tie-break.  The three
+regions cover disjoint timestamp ranges, so the earliest entry is found
+by consulting them in past → ring → overflow order and no cross-region
+tie-break is ever needed.
+
+:class:`HeapEventQueue` is the seed's binary-heap kernel restated over
+the same entries.  No production path uses it; the differential tests
+run it beside :class:`EventQueue` as the ordering reference.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import sys
-from heapq import heappop
-from typing import Any, Callable, Optional, Tuple
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.engine.calendar import DEFAULT_WINDOW, CalendarQueue
+#: Default ring span in cycles.  Delays beyond this fall back to the
+#: overflow heap, so the value only trades memory for heap traffic; the
+#: simulator's latencies (DRAM ~160 cycles plus queueing) sit far below.
+DEFAULT_WINDOW = 4096
 
-
-class Event:
-    """A scheduled callback.
-
-    Holding a reference to the :class:`Event` allows cancellation: a
-    cancelled event stays in the queue but is skipped when popped.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: Tuple[Any, ...], queue: "Optional[EventQueue]" = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator discards it instead of firing it."""
-        if not self.cancelled:
-            self.cancelled = True
-            queue = self._queue
-            if queue is not None:
-                queue._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq} {self.fn!r}{state}>"
-
-
-def _probe_refcount(obj: object) -> int:
-    """Reference count seen from the run loop's recycle call shape:
-    one caller local + one callee parameter + the getrefcount argument."""
-    return sys.getrefcount(obj)
-
-
-def _calibrate_recycle_threshold() -> int:
-    """Refcount of an event with no outside holder, measured through the
-    exact call shape the run loop uses.  Returns -1 (recycling disabled)
-    off CPython, where getrefcount semantics differ."""
-    if sys.implementation.name != "cpython":
-        return -1
-    probe = Event(0, 0, None, ())  # local ref, like the run loop's
-    return _probe_refcount(probe)
-
-
-def _calibrate_inline_threshold() -> int:
-    """Refcount of an event with no outside holder as seen *inside* the
-    fused run loop (:meth:`EventQueue.run_fast`): one loop local plus
-    the getrefcount argument — no intermediate call frame."""
-    if sys.implementation.name != "cpython":
-        return -1
-    probe = Event(0, 0, None, ())
-    return sys.getrefcount(probe)
-
-
-#: An event whose refcount at recycle time exceeds this has an outside
-#: holder (someone kept the handle returned by ``push``) and must not be
-#: reused — a later ``cancel()`` through that handle would otherwise hit
-#: an unrelated rescheduled event.
-_RECYCLE_REFS = _calibrate_recycle_threshold()
-
-#: Same guard for the fused run loop, whose recycle check is inlined
-#: (one fewer frame holding a reference).
-_RECYCLE_REFS_INLINE = _calibrate_inline_threshold()
-
-#: Free-list cap; beyond this, fired events are left to the GC.
-_FREE_LIST_MAX = 4096
+#: What :meth:`EventQueue.pop` returns: ``(time, fn, args)``.
+Entry = Tuple[int, Callable[..., Any], Tuple[Any, ...]]
 
 
 class EventQueue:
-    """Calendar-queue-backed priority queue of :class:`Event` objects.
+    """Calendar queue of ``(fn, args)`` entries keyed by cycle."""
 
-    ``len()`` counts *live* (non-cancelled, not yet popped) events only,
-    so callers like :meth:`Simulator.drain`'s runaway check never
-    mistake a backlog of cancelled tombstones for pending work.
-    """
+    __slots__ = ("_window", "_mask", "_buckets", "_floor", "_cursor",
+                 "_ring_count", "_past", "_over", "_seq")
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        self._calendar = CalendarQueue(window)
+        if window <= 0 or window & (window - 1):
+            raise ValueError("calendar window must be a positive power of two")
+        self._window = window
+        self._mask = window - 1
+        self._buckets: List[deque] = [deque() for _ in range(window)]
+        self._floor = 0        # time of the last entry taken
+        self._cursor = 0       # lower bound on the earliest ring timestamp
+        self._ring_count = 0   # entries resident in the ring
+        self._past: list = []  # (time, seq, fn, args) heap: time < floor
+        self._over: list = []  # same, time >= floor + window
         self._seq = 0
-        self._live = 0
-        self._free: list = []
 
     def __len__(self) -> int:
-        return self._live
+        return self._ring_count + len(self._past) + len(self._over)
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def push(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time``; returns the event."""
-        return self.push_packed(time, fn, args)
-
-    def push_packed(self, time: int, fn: Callable[..., Any],
-                    args: Tuple[Any, ...]) -> Event:
-        """Like :meth:`push` with ``args`` already packed — used where a
-        cancellation handle is required, avoiding one tuple repack."""
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, seq, fn, args, self)
-        self._live += 1
-        self._calendar.insert(event)
-        return event
-
     def push_raw(self, time: int, fn: Callable[..., Any],
                  args: Tuple[Any, ...]) -> None:
-        """Handle-free scheduling: the production hot path.
-
-        The entry is a plain ``(fn, args)`` pair with no Event object,
-        no sequence number and no cancellation support — the simulator's
-        components never cancel and never hold the handle, so they skip
-        the whole Event lifecycle (free-list, refcount-guarded
-        recycling, per-pop ``cancelled`` checks).  Same-cycle FIFO order
-        against Event pushes is preserved exactly: both kinds append to
-        the same ring bucket.  Pushes outside the ring window (rare —
-        every modeled latency sits far below it) fall back to a wrapped
-        Event so the heap regions keep their ``(time, seq)`` ordering.
-        """
-        if not self._calendar.insert_raw(time, (fn, args)):
-            self.push_packed(time, fn, args)
-            return
-        self._live += 1
+        """Schedule ``fn(*args)`` at absolute cycle ``time``."""
+        offset = time - self._floor
+        if 0 <= offset < self._window:
+            self._buckets[time & self._mask].append((fn, args))
+            self._ring_count += 1
+            if time < self._cursor:
+                self._cursor = time
+        else:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._past if offset < 0 else self._over,
+                     (time, seq, fn, args))
 
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest pending entry as an Event.
+    def _ring_front(self) -> deque:
+        """The earliest non-empty ring bucket (the ring must be non-empty);
+        leaves ``_cursor`` on its timestamp."""
+        buckets = self._buckets
+        mask = self._mask
+        t = self._cursor
+        bucket = buckets[t & mask]
+        while not bucket:
+            t += 1
+            bucket = buckets[t & mask]
+        self._cursor = t
+        return bucket
 
-        Raw entries are wrapped into an Event on the way out so the
-        compatibility surface (``step()``, the peeking run loop, tests)
-        sees one uniform type; the fused fast loop (:meth:`run_fast`)
-        never pays for this.
-        """
-        entry, time = self._calendar.take()
-        if entry is None:
+    def pop(self) -> Optional[Entry]:
+        """Remove the earliest entry; returns ``(time, fn, args)`` or
+        ``None`` when the queue is empty."""
+        if self._past:
+            t, _seq, fn, args = heappop(self._past)
+            return t, fn, args
+        if self._ring_count:
+            fn, args = self._ring_front().popleft()
+            self._ring_count -= 1
+            t = self._cursor
+        elif self._over:
+            t, _seq, fn, args = heappop(self._over)
+        else:
             return None
-        self._live -= 1
-        if type(entry) is tuple:
-            fn, args = entry
-            seq = self._seq
-            self._seq = seq + 1
-            return Event(time, seq, fn, args)
-        # Once delivered, a late cancel() is a no-op for accounting
-        # (the event is no longer pending).
-        entry._queue = None
-        return entry
+        if t > self._floor:
+            self._advance_floor(t)
+        return t, fn, args
 
     def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending entry without removing it."""
-        time = self._calendar.front_time()
-        return None if time < 0 else time
+        """Time of the earliest entry without removing it."""
+        if self._past:
+            return self._past[0][0]
+        if self._ring_count:
+            self._ring_front()
+            return self._cursor
+        if self._over:
+            return self._over[0][0]
+        return None
 
     def run_fast(self, sim, budget: int) -> int:
-        """The fused hot loop: pop, fire and recycle without peeking.
+        """Pop and fire up to ``budget`` entries in one frame.
 
-        Equivalent to repeatedly calling :meth:`pop` and firing, but
-        with the calendar scan, the dispatch and the Event recycling
-        inlined into one frame.  ``sim.now`` is advanced before each
-        callback; the loop honours ``sim._stop`` exactly like the
-        outer loop (checked after every delivery).  Returns the number
-        of entries fired.
+        Equivalent to repeatedly calling :meth:`pop` and firing, with
+        the ring scan inlined.  ``sim.now`` is advanced before each
+        callback, and ``sim._stop`` is checked after every delivery.
+        Returns the number of entries fired.
         """
-        cal = self._calendar
-        free = self._free
-        getrefcount = sys.getrefcount
-        scan = cal._scan
-        past = cal._past
-        over = cal._over
+        buckets = self._buckets
+        mask = self._mask
+        past = self._past
+        over = self._over
         fired = 0
-        try:
-            while fired < budget and not sim._stop:
-                # -- inline CalendarQueue.take ------------------------
-                ev = cal._front
-                if ev is not None:
-                    src = cal._front_src
-                    t = cal._front_time
-                    cal._front = cal._front_src = None
-                    if type(ev) is not tuple and ev.cancelled:
-                        ev, src, t = scan()
+        while fired < budget and not sim._stop:
+            if past:
+                t, _seq, fn, args = heappop(past)
+            else:
+                if self._ring_count:
+                    t = self._cursor
+                    bucket = buckets[t & mask]
+                    while not bucket:
+                        t += 1
+                        bucket = buckets[t & mask]
+                    self._cursor = t
+                    fn, args = bucket.popleft()
+                    self._ring_count -= 1
+                elif over:
+                    t, _seq, fn, args = heappop(over)
                 else:
-                    ev, src, t = scan()
-                if ev is None:
                     break
-                if src is past or src is over:
-                    heappop(src)
-                else:
-                    src.popleft()
-                    cal._ring_count -= 1
-                if t > cal._floor:
-                    cal._advance_floor(t)
-                # -- dispatch -----------------------------------------
-                sim.now = t
-                if type(ev) is tuple:
-                    fn, args = ev
-                    fn(*args)
-                else:
-                    ev.fn(*ev.args)
-                    ev._queue = None
-                    if (len(free) < _FREE_LIST_MAX
-                            and getrefcount(ev) == _RECYCLE_REFS_INLINE):
-                        ev.fn = None
-                        ev.args = None
-                        free.append(ev)
-                fired += 1
-        finally:
-            self._live -= fired
+                if t > self._floor:
+                    self._advance_floor(t)
+            sim.now = t
+            fn(*args)
+            fired += 1
         return fired
 
-    def recycle(self, event: Event) -> None:
-        """Return a fired event to the free list if nothing else holds it.
-
-        Safe to skip entirely; recycling is purely an allocation
-        optimisation.  The refcount guard keeps cancellation semantics
-        exact: any externally held handle pins its event forever.
-        """
-        if (len(self._free) < _FREE_LIST_MAX
-                and sys.getrefcount(event) == _RECYCLE_REFS):
-            event.fn = None
-            event.args = None
-            self._free.append(event)
-
-    @property
-    def free_list_size(self) -> int:
-        return len(self._free)
+    def _advance_floor(self, t: int) -> None:
+        """Slide the ring window forward and migrate newly covered entries."""
+        self._floor = t
+        over = self._over
+        if over:
+            limit = t + self._window
+            buckets = self._buckets
+            mask = self._mask
+            while over and over[0][0] < limit:
+                time, _seq, fn, args = heappop(over)
+                buckets[time & mask].append((fn, args))
+                self._ring_count += 1
+        if self._cursor < t:
+            self._cursor = t
 
 
 class HeapEventQueue:
-    """The seed binary-heap kernel, kept as a test reference.
+    """The seed's binary-heap kernel over the same entries.
 
-    Only the differential tests use it, to check the calendar kernel's
-    ordering equivalence against it.  Beyond the seed's push/pop/peek it
-    carries Event-backed ``push_raw`` and a plain ``run_fast`` loop, and
-    ``recycle`` is a no-op, so the modern simulator can drive it
-    unchanged.
+    The ordering reference for the differential tests: one heap of
+    ``(time, seq, fn, args)``, with the same ``push_raw``, ``pop``,
+    ``peek_time`` and ``run_fast`` as :class:`EventQueue`, so the
+    simulator can drive either.
     """
 
     def __init__(self) -> None:
@@ -294,51 +208,28 @@ class HeapEventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time``; returns the event."""
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def push_packed(self, time: int, fn: Callable[..., Any],
-                    args: Tuple[Any, ...]) -> Event:
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, event)
-        return event
-
     def push_raw(self, time: int, fn: Callable[..., Any],
                  args: Tuple[Any, ...]) -> None:
-        """Handle-free scheduling, Event-backed here: the reference
-        kernel keeps one representation so its ordering stays the
-        canonical ``(time, seq)`` FIFO the calendar must reproduce."""
-        self.push_packed(time, fn, args)
+        heappush(self._heap, (time, next(self._seq), fn, args))
 
-    def run_fast(self, sim, budget: int) -> int:
-        """Reference counterpart of :meth:`EventQueue.run_fast` (plain
-        pop/fire loop; no inlining — this kernel is never timed)."""
-        fired = 0
-        while fired < budget and not sim._stop:
-            event = self.pop()
-            if event is None:
-                break
-            sim.now = event.time
-            event.fn(*event.args)
-            fired += 1
-        return fired
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+    def pop(self) -> Optional[Entry]:
+        if not self._heap:
+            return None
+        t, _seq, fn, args = heappop(self._heap)
+        return t, fn, args
 
     def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
-    def recycle(self, event: Event) -> None:
-        """No-op: the reference kernel allocates a fresh Event per push."""
+    def run_fast(self, sim, budget: int) -> int:
+        """Plain pop/fire loop; this kernel is never timed."""
+        fired = 0
+        while fired < budget and not sim._stop:
+            entry = self.pop()
+            if entry is None:
+                break
+            t, fn, args = entry
+            sim.now = t
+            fn(*args)
+            fired += 1
+        return fired

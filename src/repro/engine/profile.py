@@ -55,10 +55,11 @@ class EngineProfiler:
             qualname = getattr(fn, "__qualname__", None) or repr(fn)
         return (getattr(fn, "__module__", None) or "?") + "." + qualname
 
-    def record(self, event) -> None:
-        """Count one fired event (called by the simulator's run loop)."""
+    def record(self, fn) -> None:
+        """Count one fired event with callback ``fn`` (called by the
+        simulator's run loop)."""
         self.events += 1
-        key = self._key(event.fn)
+        key = self._key(fn)
         counts = self.component_counts
         counts[key] = counts.get(key, 0) + 1
 

@@ -14,9 +14,9 @@ manager uses :meth:`stop` to implement the paper's methodology of
 running until every tenant has completed at least one full execution.
 
 The common no-``until``/no-``stop_when`` case runs a tight loop that
-pops, fires and recycles events without peeking, which together with the
-calendar queue in :mod:`repro.engine.event` is what the engine
-throughput benchmark measures.
+pops and fires events without peeking, which together with the calendar
+queue in :mod:`repro.engine.event` is what the engine throughput
+benchmark measures.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, Optional
 
-from repro.engine.event import Event, EventQueue
+from repro.engine.event import EventQueue
 from repro.engine.stats import StatsRegistry
 
 
@@ -107,36 +107,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self.now}"
-            )
-        return self.events.push_packed(time, fn, args)
-
-    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` ``delay`` cycles from now (delay >= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.events.push_packed(self.now + delay, fn, args)
-
-    def post_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Handle-free :meth:`at`: same firing time and FIFO order, but
-        no :class:`Event` is created and the callback cannot be
-        cancelled.  The hot scheduling path for component callbacks —
-        nothing in the simulator ever cancels or holds those handles,
-        and skipping the Event lifecycle is a first-order win (see
-        DESIGN.md §8)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self.now}"
             )
         self.events.push_raw(time, fn, args)
 
-    def post_after(self, delay: int, fn: Callable[..., Any],
-                   *args: Any) -> None:
-        """Handle-free :meth:`after` (see :meth:`post_at`)."""
+    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` ``delay`` cycles from now (delay >= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         self.events.push_raw(self.now + delay, fn, args)
@@ -154,13 +134,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next event.  Returns ``False`` when the queue is empty."""
-        event = self.events.pop()
-        if event is None:
+        entry = self.events.pop()
+        if entry is None:
             return False
-        if event.time < self.now:  # pragma: no cover - defensive
+        time, fn, args = entry
+        if time < self.now:  # pragma: no cover - defensive
             raise SimulationError("event queue returned a past event")
-        self.now = event.time
-        event.fn(*event.args)
+        self.now = time
+        fn(*args)
         return True
 
     def run(
@@ -181,15 +162,14 @@ class Simulator:
         self._stop = False
         events = self.events
         take = events.pop
-        recycle = events.recycle
         profiler = self.profiler
         audit = self.audit_hook
         try:
             if (until is None and stop_when is None and profiler is None
                     and audit is None):
                 # Fast path: nothing to peek for, nothing to poll — the
-                # fused loop inside the event queue does pop, dispatch
-                # and recycling in one frame.
+                # fused loop inside the event queue pops and dispatches
+                # in one frame.
                 budget = sys.maxsize if max_events is None else max_events
                 fired = events.run_fast(self, budget)
             else:
@@ -210,18 +190,17 @@ class Simulator:
                         if next_time > until:
                             self.now = until
                             break
-                    event = take()
-                    if event is None:
+                    entry = take()
+                    if entry is None:
                         break
-                    self.now = event.time
+                    self.now, fn, args = entry
                     if profiler is not None:
-                        profiler.record(event)
-                    event.fn(*event.args)
+                        profiler.record(fn)
+                    fn(*args)
                     fired += 1
-                    recycle(event)
                     if audit is not None:
-                        # After the event (and recycling): the hook sees
-                        # quiescent state, exactly between two events.
+                        # After the event: the hook sees quiescent
+                        # state, exactly between two events.
                         audit()
         finally:
             self._running = False

@@ -319,7 +319,7 @@ class Gpu:
         l1 = self.l1_tlbs[sm_id]
         if l1.lookup(tenant_id, vpn):
             frame = self.tenants[tenant_id].page_table.translate(vpn)
-            self.sim.post_after(self._l1_hit_latency, on_translated, frame)
+            self.sim.after(self._l1_hit_latency, on_translated, frame)
             return
         self._translate_miss(sm_id, tenant_id, vpn, on_translated)
 
@@ -347,8 +347,8 @@ class Gpu:
             self.mask.note_l2_tlb_lookup(tenant_id, hit)
         if hit:
             frame = self.tenants[tenant_id].page_table.translate(vpn)
-            self.sim.post_after(self._l2_hit_latency, self._finish_translation,
-                                sm_id, tenant_id, vpn, frame, False)
+            self.sim.after(self._l2_hit_latency, self._finish_translation,
+                           sm_id, tenant_id, vpn, frame, False)
             return
         miss = self._l2_miss_c.get(tenant_id)
         if miss is None:

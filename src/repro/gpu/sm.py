@@ -67,7 +67,7 @@ class Sm:
     # ------------------------------------------------------------------
     def add_warp(self, warp: Warp) -> None:
         self.active_warps += 1
-        self.sim.post_after(0, self._advance_warp, warp)
+        self.sim.after(0, self._advance_warp, warp)
 
     def _advance_warp(self, warp: Warp) -> None:
         op = warp.next_op()

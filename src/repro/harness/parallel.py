@@ -243,12 +243,6 @@ def _execute_attempt(job: Job, attempt: int,
     return _execute(job, validate)
 
 
-def _execute_batch(jobs: Sequence[Job],
-                   validate: bool = False) -> List[Tuple[str, RunResult]]:
-    """Worker entry point for an explicit ``chunksize`` batch."""
-    return [_execute(job, validate) for job in jobs]
-
-
 def _describe(exc: BaseException) -> str:
     """Quarantine-message form of a failure, with its forensics bundle."""
     message = f"{type(exc).__name__}: {exc}"
@@ -394,25 +388,6 @@ def _drain_dynamic(executor: Executor, pending: Sequence[Job],
         for future in done:
             label, result = future.result()
             on_result(label, result, futures[future])
-
-
-def _drain_batched(executor: Executor, pending: Sequence[Job],
-                   chunksize: int,
-                   on_result: Callable[[str, RunResult, Job], None],
-                   validate: bool = False) -> None:
-    """Batched submission for callers that want fewer pool round trips
-    (chunking is an IPC knob; results are identical to per-job dispatch)."""
-    batches = [pending[i:i + chunksize]
-               for i in range(0, len(pending), chunksize)]
-    futures = {executor.submit(_execute_batch, batch, validate): batch
-               for batch in batches}
-    not_done = set(futures)
-    while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-        for future in done:
-            by_label = {job.label: job for job in futures[future]}
-            for label, result in future.result():
-                on_result(label, result, by_label[label])
 
 
 class _DegradeToSerial(Exception):
@@ -657,7 +632,6 @@ def _run_supervised(pending: Sequence[Job], workers: int,
 def run_jobs(jobs: Sequence[Job],
              workers: Optional[int] = None,
              cache: Optional[ResultCache] = None,
-             chunksize: Optional[int] = None,
              pool: Optional[WorkerPool] = None,
              supervision: Optional[SupervisionPolicy] = None,
              stats: Optional[SupervisionStats] = None,
@@ -669,12 +643,10 @@ def run_jobs(jobs: Sequence[Job],
     ``workers`` defaults to the CPU count; 1 runs serially in-process.
     ``cache`` short-circuits jobs whose results are already on disk;
     fresh results (and their wall-time cost observations) are stored as
-    each one completes.  ``chunksize`` batches several jobs per pool
-    round trip (default 1: pure dynamic dispatch; batches are only worth
-    it when jobs are tiny relative to IPC).  ``pool`` reuses a
-    :class:`WorkerPool` across calls instead of spinning up a fresh
-    executor.  Duplicate labels are rejected up front (silent overwrites
-    would make missing-result bugs invisible).
+    each one completes.  ``pool`` reuses a :class:`WorkerPool` across
+    calls instead of spinning up a fresh executor.  Duplicate labels are
+    rejected up front (silent overwrites would make missing-result bugs
+    invisible).
 
     ``supervision`` switches execution to the fault-tolerant dispatcher:
     failed attempts retry with backoff, dead workers respawn the pool,
@@ -697,9 +669,6 @@ def run_jobs(jobs: Sequence[Job],
     labels = [job.label for job in jobs]
     if len(set(labels)) != len(labels):
         raise ValueError("job labels must be unique")
-    if supervision is not None and chunksize is not None and chunksize > 1:
-        raise ValueError("chunksize batching is not supported under "
-                         "supervision (batches hide which job failed)")
     if workers is None:
         workers = pool.workers if pool is not None else (os.cpu_count() or 1)
     if supervision is not None and stats is None:
@@ -755,11 +724,7 @@ def run_jobs(jobs: Sequence[Job],
                 executor = pool.executor if pool is not None else (
                     ProcessPoolExecutor(max_workers=workers))
                 try:
-                    if chunksize is not None and chunksize > 1:
-                        _drain_batched(executor, pending, chunksize,
-                                       on_result, validate)
-                    else:
-                        _drain_dynamic(executor, pending, on_result, validate)
+                    _drain_dynamic(executor, pending, on_result, validate)
                 finally:
                     if pool is None:
                         executor.shutdown()

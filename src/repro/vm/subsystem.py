@@ -209,7 +209,7 @@ class PageWalkSubsystem:
             return
         if self.dispatch_latency:
             walker.reserved = True
-            self.sim.post_after(self.dispatch_latency, self._start_reserved, walker, request)
+            self.sim.after(self.dispatch_latency, self._start_reserved, walker, request)
         else:
             walker.start(request)
 

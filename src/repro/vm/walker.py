@@ -66,7 +66,7 @@ class Walker:
                 tenant_id=request.tenant_id, walker_id=self.id,
                 sim_time=self.sim.now)
         request.memory_accesses = len(addrs) - skip
-        self.sim.post_after(self.subsystem.pwc_latency,
+        self.sim.after(self.subsystem.pwc_latency,
                        self._issue_level, request, addrs, skip)
 
     def _issue_level(self, request: WalkRequest, addrs, index: int) -> None:

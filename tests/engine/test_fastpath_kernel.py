@@ -1,51 +1,24 @@
 """Unit tests for the kernel's hot-path primitives:
 
-* ``push_raw`` — handle-free raw entries, FIFO-ordered against Events;
+* ``push_raw`` — handle-free ``(fn, args)`` entries in every region;
 * ``run_fast`` — the fused pop/fire loop, equivalent to the pop loop.
 """
 
-from repro.engine.event import EventQueue, HeapEventQueue
+from repro.engine.event import EventQueue
 from repro.engine.simulator import Simulator
 
 
 class TestRawEntries:
-    def test_raw_and_event_pushes_share_fifo_order(self):
-        queue = EventQueue()
-        reference = HeapEventQueue()
-        schedule = [
-            (5, "a"), (3, "b"), (5, "c"), (3, "d"), (5, "e"), (4, "f"),
-        ]
-        for i, (time, tag) in enumerate(schedule):
-            if i % 2:
-                queue.push(time, lambda: None)
-                reference.push(time, lambda: None)
-            else:
-                queue.push_raw(time, lambda: None, ())
-                reference.push_raw(time, lambda: None, ())
-        order = []
-        ref_order = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            order.append((event.time,))
-        while True:
-            event = reference.pop()
-            if event is None:
-                break
-            ref_order.append((event.time,))
-        assert order == ref_order == sorted(ref_order)
-
-    def test_push_raw_far_future_falls_back_to_event(self):
-        """Raw entries outside the calendar ring window must still land
-        (wrapped as Events in the heap region) and keep time order."""
+    def test_push_raw_far_future_lands_in_overflow_heap(self):
+        """Entries outside the calendar ring window land in the
+        overflow heap and keep time order."""
         queue = EventQueue()
         queue.push_raw(10, lambda: None, ())
         queue.push_raw(10_000_000, lambda: None, ())
         assert len(queue) == 2
         first = queue.pop()
         second = queue.pop()
-        assert (first.time, second.time) == (10, 10_000_000)
+        assert (first[0], second[0]) == (10, 10_000_000)
 
     def test_live_count_tracks_raw_entries(self):
         queue = EventQueue()
@@ -69,7 +42,7 @@ class TestRunFastEquivalence:
 
         for i, tag in enumerate("abcd"):
             sim.events.push_raw(i % 2, reschedule, (tag, 2))
-        sim.events.push(1, reschedule, "ev", 1)
+        sim.events.push_raw(1, reschedule, ("ev", 1))
 
     def test_fused_loop_matches_pop_loop(self):
         fast_sim = Simulator()
@@ -80,12 +53,12 @@ class TestRunFastEquivalence:
         slow_sim = Simulator()
         slow_log = []
         self._schedule(slow_sim, slow_log)
-        while True:  # the compatibility pop loop
-            event = slow_sim.events.pop()
-            if event is None:
+        while True:  # the plain pop loop
+            entry = slow_sim.events.pop()
+            if entry is None:
                 break
-            slow_sim.now = event.time
-            event.fn(*event.args)
+            slow_sim.now, fn, args = entry
+            fn(*args)
 
         assert fast_log == slow_log
         assert fast_sim.now == slow_sim.now

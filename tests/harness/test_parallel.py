@@ -67,32 +67,20 @@ class TestSerialExecution:
 
 class TestParallelMatchesSerial:
     def test_process_pool_reproduces_serial_results(self):
-        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS")]
+        # Same results, returned in caller order.
+        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS"),
+                tiny_job("c", seed=1)]
         serial = run_jobs(jobs, workers=1)
         try:
             parallel = run_jobs(jobs, workers=2)
         except (OSError, PermissionError):
             pytest.skip("process creation not permitted in this environment")
+        assert list(parallel) == ["a", "b", "c"]
         for label in serial:
             assert (serial[label].total_cycles
                     == parallel[label].total_cycles)
             assert (serial[label].tenants[0].instructions
                     == parallel[label].tenants[0].instructions)
-
-    def test_explicit_chunksize_changes_nothing(self):
-        # Chunking is an IPC batching knob: any chunksize must return
-        # the same results in the same caller order.
-        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS"),
-                tiny_job("c", seed=1)]
-        serial = run_jobs(jobs, workers=1)
-        try:
-            chunked = run_jobs(jobs, workers=2, chunksize=3)
-        except (OSError, PermissionError):
-            pytest.skip("process creation not permitted in this environment")
-        assert list(chunked) == ["a", "b", "c"]
-        for label in serial:
-            assert (serial[label].total_cycles
-                    == chunked[label].total_cycles)
 
 
 class TestMaxEvents:

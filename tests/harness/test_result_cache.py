@@ -190,8 +190,7 @@ class TestRunJobsCache:
         serial = run_jobs(jobs, workers=1)
         cache = ResultCache(tmp_path)
         try:
-            parallel = run_jobs(jobs, workers=2, cache=cache,
-                                chunksize=1)
+            parallel = run_jobs(jobs, workers=2, cache=cache)
         except (OSError, PermissionError):
             pytest.skip("process creation not permitted in this environment")
         for label in serial:

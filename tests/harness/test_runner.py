@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.engine.config import GpuConfig
 from repro.harness.runner import Session
 
@@ -64,3 +65,26 @@ class TestStandalone:
             "HS", GpuConfig.baseline().with_l2_tlb_entries(512)
         )
         assert small is not base
+
+
+class TestProfiledRun:
+    def test_profiled_run_matches_plain_run(self, capsys):
+        names, cfg = ["HS", "MM"], GpuConfig.baseline()
+        plain = Session(scale=0.05, warps_per_sm=2).run_names(names, cfg)
+        result, profiler = Session(scale=0.05, warps_per_sm=2).run_profiled(
+            names, cfg)
+        assert result.total_cycles == plain.total_cycles
+        assert result.events_fired == plain.events_fired
+        assert result.stats == plain.stats
+        assert (profiler.events == sum(profiler.component_counts.values())
+                == result.events_fired)
+        assert all(key.startswith("repro.")
+                   for key in profiler.component_counts)
+
+        args = ["run", "HS.MM", "--scale", "0.05", "--warps", "2"]
+        assert main(args) == 0
+        plain_out = capsys.readouterr().out
+        assert main(args + ["--profile-breakdown"]) == 0
+        profiled_out = capsys.readouterr().out
+        assert profiled_out.startswith(plain_out)
+        assert "engine delivery breakdown" in profiled_out[len(plain_out):]
