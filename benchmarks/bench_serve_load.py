@@ -125,7 +125,7 @@ class Driver:
                                          probe_after_queries=2),
             supervision=SupervisionPolicy(
                 retry=RetryPolicy(max_attempts=3, base_delay=0.001)),
-            workers=1, scale=args.scale, warps_per_sm=args.warps,
+            scale=args.scale, warps_per_sm=args.warps,
             max_events=args.max_events,
             # Unthrottled pressure sampling: clearing the injected
             # host_pressure fault must be visible on the very next query.

@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempts per job before quarantine (default 3; "
                         "1 disables retries)")
     p.add_argument("--deadline", type=float, default=None,
-                   help="per-job wall-clock deadline in seconds; an "
+                   help="per-job wall-clock deadline in seconds, "
+                        "counted from when a worker starts the job; an "
                         "attempt past it is presumed hung and killed "
                         "(needs --workers > 1; default: no deadline)")
     p.add_argument("--supervision-report", default=None, metavar="PATH",
@@ -186,15 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the capacity-planning query service (exact/simulated/"
-             "estimate tiers over the result cache)")
+             "estimate tiers over the result cache; cache misses "
+             "simulate one at a time, in-process)")
     p.add_argument("--cache-dir", required=True,
                    help="result cache directory the service answers from "
                         "(and checkpoints pending work under)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8642)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for background simulations "
-                        "(default 1: serial in-process)")
     p.add_argument("--max-queue-depth", type=int, default=8,
                    help="pending simulations admitted before load "
                         "shedding downgrades the oldest (default 8)")
@@ -425,7 +424,7 @@ def cmd_serve(args) -> int:
     admission = AdmissionPolicy(max_queue_depth=args.max_queue_depth,
                                 default_deadline_s=args.deadline)
     server = ReproServer(
-        args.cache_dir, admission=admission, workers=args.workers,
+        args.cache_dir, admission=admission,
         scale=args.scale, warps_per_sm=args.warps,
         max_events=(args.max_events if args.max_events is not None
                     else DEFAULT_SERVE_MAX_EVENTS),

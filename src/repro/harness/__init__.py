@@ -36,7 +36,6 @@ from repro.harness.parallel import (
     run_jobs,
 )
 from repro.harness.supervision import (
-    CampaignExecutionError,
     RetryPolicy,
     SupervisionPolicy,
     SupervisionStats,
@@ -69,7 +68,6 @@ from repro.harness.validate import validate_result
 
 __all__ = [
     "CACHE_FORMAT",
-    "CampaignExecutionError",
     "CampaignManifest",
     "CampaignPlan",
     "CampaignReport",

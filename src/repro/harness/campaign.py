@@ -64,11 +64,7 @@ from repro.harness.report import _PAIRED
 from repro.harness.reporting import ExperimentResult
 from repro.harness.result_cache import CACHE_FORMAT, job_key
 from repro.harness.runner import Session
-from repro.harness.supervision import (
-    CampaignExecutionError,
-    SupervisionPolicy,
-    SupervisionStats,
-)
+from repro.harness.supervision import SupervisionPolicy, SupervisionStats
 from repro.tenancy.manager import RunResult
 from repro.workloads.base import Workload
 
@@ -466,7 +462,6 @@ def run_campaign(session: Session,
                  workers: Optional[int] = None,
                  pool: Optional[WorkerPool] = None,
                  supervision: Optional[SupervisionPolicy] = None,
-                 strict: bool = False,
                  max_rss_mb: Optional[float] = None) -> CampaignReport:
     """Plan, execute and replay a set of figures through one session.
 
@@ -481,10 +476,8 @@ def run_campaign(session: Session,
     deadline): transient failures retry, dead workers respawn, poison
     jobs quarantine.  A quarantined job's figures replay on a
     best-effort basis — any that re-raise are recorded in
-    ``report.figure_errors`` instead of aborting the rest.  With
-    ``strict=True`` a degraded campaign raises
-    :class:`~repro.harness.supervision.CampaignExecutionError` at the
-    end (everything salvageable is still cached first).
+    ``report.figure_errors`` instead of aborting the rest;
+    ``report.ok`` says whether anything failed.
 
     With a disk cache, progress checkpoints to a
     :class:`CampaignManifest` as each job lands, and SIGTERM/SIGINT
@@ -498,8 +491,6 @@ def run_campaign(session: Session,
     so budgeted and unbudgeted campaigns share cache entries.
     """
     start = time.perf_counter()
-    if supervision is None:
-        supervision = SupervisionPolicy.default()
     plan = plan_campaign(session, figures, pairs)
 
     cache = session.disk_cache
@@ -578,7 +569,7 @@ def run_campaign(session: Session,
             figure_errors[figure] = f"{type(exc).__name__}: {exc}"
 
     sim_wall = sum(r.wall_seconds for r in executed.values())
-    report = CampaignReport(
+    return CampaignReport(
         plan=plan,
         results=results,
         job_results={job.label: executed[job.label]
@@ -591,7 +582,3 @@ def run_campaign(session: Session,
         figure_errors=figure_errors,
         resumed_from_checkpoint=resumed,
     )
-    if strict and not report.ok:
-        raise CampaignExecutionError(report.failure_summary(),
-                                     stats.quarantined)
-    return report

@@ -35,14 +35,16 @@ identical to a serial run (a test asserts this, cache on and off).
 ``workers=1`` bypasses multiprocessing entirely, which is also the safe
 choice inside environments that restrict process creation.
 
-With a :class:`~repro.harness.supervision.SupervisionPolicy`, dispatch
-becomes fault-tolerant: failed attempts retry with exponential backoff,
-a dead worker process (``BrokenProcessPool``) tears the pool down,
-respawns it and re-enqueues the in-flight jobs, an attempt that
-overruns its wall-clock deadline is presumed hung and killed, poison
-jobs are quarantined after a bounded number of attempts, and repeated
-pool failures degrade execution to supervised in-process serial mode.
-The failure modes themselves are exercised deterministically by
+Dispatch is always supervised, by one loop over two executors (the
+process pool and an in-process one), under a
+:class:`~repro.harness.supervision.SupervisionPolicy`: failed attempts
+retry with exponential backoff, a dead worker process
+(``BrokenProcessPool``) tears the pool down, respawns it and
+re-enqueues the in-flight jobs, an attempt that overruns its
+wall-clock deadline is presumed hung and killed, poison jobs are
+quarantined after a bounded number of attempts, and repeated pool
+failures switch the rest of the run to the in-process executor.  The
+failure modes themselves are exercised deterministically by
 :mod:`repro.harness.faults` and ``tests/harness/test_chaos.py``.
 
 The static ``pool.map`` scheduler this replaced lives on in git history
@@ -57,13 +59,14 @@ import os
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_for_exit
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig
+from repro.engine.simulator import EventBudgetExceeded
 from repro.harness import faults, resources
 from repro.harness.resources import ResourceBudgetExceeded, RssSampler
 from repro.harness.result_cache import ResultCache, cost_key, job_key
@@ -255,7 +258,15 @@ def _describe(exc: BaseException) -> str:
 #: Failures that are deterministic properties of the job itself — the
 #: same inputs fail the same way on retry, so supervision skips the
 #: retry budget and quarantines immediately.
-_NO_RETRY = (ResultValidationError, ResourceBudgetExceeded)
+_NO_RETRY = (ResultValidationError, ResourceBudgetExceeded,
+             EventBudgetExceeded)
+
+#: Pool teardowns (worker death or watchdog) one run survives; past
+#: this many, its remaining jobs finish in-process.
+MAX_POOL_RESPAWNS = 3
+
+#: Seconds between deadline sweeps while attempts are in flight.
+WATCHDOG_INTERVAL = 0.05
 
 
 def _failure_domain(exc: BaseException) -> str:
@@ -375,124 +386,59 @@ class WorkerPool:
         self.shutdown()
 
 
-def _drain_dynamic(executor: Executor, pending: Sequence[Job],
-                   on_result: Callable[[str, RunResult, Job], None],
-                   validate: bool = False) -> None:
-    """Submit every job individually and consume completions as they
-    land — the work-stealing dispatch loop."""
-    futures = {executor.submit(_execute, job, validate): job
-               for job in pending}
-    not_done = set(futures)
-    while not_done:
-        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-        for future in done:
-            label, result = future.result()
-            on_result(label, result, futures[future])
+class _InProcess:
+    """The executor for ``workers <= 1``, a lone pending job, and the
+    rest of a run whose pool broke more than :data:`MAX_POOL_RESPAWNS`
+    times.  ``submit`` runs the job in this process at once and returns
+    a finished future; a ``KeyboardInterrupt`` propagates instead of
+    landing in the future.  Nothing here can preempt a hung job, so
+    deadlines go unenforced."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
-class _DegradeToSerial(Exception):
-    """Internal signal: the pool broke too often; finish in-process."""
+def _drain(pending: Sequence[Job], pool: Optional[WorkerPool],
+           policy: SupervisionPolicy, stats: SupervisionStats,
+           on_result: Callable[[str, RunResult, Job], None],
+           validate: bool = False) -> None:
+    """The dispatch loop: every attempt of every job goes through here.
 
-    def __init__(self, work: List[Tuple[Job, int]]) -> None:
-        super().__init__("worker pool respawn limit exceeded")
-        self.work = work
-
-
-def _finish(stats: SupervisionStats, job: Job, attempt: int,
-            result: RunResult,
-            on_result: Callable[[str, RunResult, Job], None]) -> None:
-    stats.attempts[job.label] = attempt
-    result.retries = attempt - 1
-    on_result(job.label, result, job)
-
-
-def _run_supervised_serial(work: Sequence[Tuple[Job, int]],
-                           policy: SupervisionPolicy,
-                           stats: SupervisionStats,
-                           on_result: Callable[[str, RunResult, Job], None],
-                           validate: bool = False,
-                           ) -> None:
-    """In-process supervised execution: retry with backoff, quarantine.
-
-    Both the ``workers=1`` path and the graceful-degradation fallback
-    land here.  Deadlines are not enforced — a single process cannot
-    preempt its own hung simulation — which is exactly why degradation
-    is a last resort, not the default.  ``work`` entries carry the
-    attempt number to start from (the fallback inherits attempts already
-    burned under the pool).
-    """
-    retry = policy.retry
-    for job, attempt in work:
-        while True:
-            if attempt > retry.max_attempts:
-                # Attempts exhausted under the pool before degradation.
-                stats.quarantined.setdefault(
-                    job.label, "retry budget exhausted before fallback")
-                break
-            try:
-                _label, result = _execute_attempt(job, attempt, validate)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                fatal = isinstance(exc, _NO_RETRY)
-                stats.record_failure(_failure_domain(exc))
-                stats.attempts[job.label] = attempt
-                bundle = getattr(exc, "bundle_path", None)
-                if bundle:
-                    stats.forensics[job.label] = bundle
-                # Validation failures and budget breaches are
-                # deterministic — the same run fails the same way on
-                # retry — so they skip the retry budget and quarantine
-                # immediately.
-                if fatal or attempt >= retry.max_attempts:
-                    stats.quarantined[job.label] = _describe(exc)
-                    break
-                stats.retries += 1
-                time.sleep(retry.delay_for(attempt, key=job.label))
-                attempt += 1
-            else:
-                _finish(stats, job, attempt, result, on_result)
-                break
-
-
-def _drain_supervised(pool: WorkerPool, pending: Sequence[Job],
-                      policy: SupervisionPolicy, stats: SupervisionStats,
-                      on_result: Callable[[str, RunResult, Job], None],
-                      validate: bool = False,
-                      ) -> None:
-    """The supervised work-stealing dispatch loop.
-
-    Same longest-expected-first, submit-individually shape as
-    :func:`_drain_dynamic`, plus the fault handling:
+    Jobs are submitted individually, longest-expected-first, to
+    ``pool`` or, when it is ``None``, to :class:`_InProcess`; results
+    are consumed as they land, so an idle worker pulls the next job the
+    moment it frees up.  Failure handling:
 
     * an attempt that raises an ordinary exception retries with backoff
-      until its budget runs out, then quarantines;
+      until its budget runs out, then quarantines; a deterministic
+      failure (:data:`_NO_RETRY`) quarantines at once;
     * a dead worker (``BrokenProcessPool``) charges every in-flight job
       one attempt (the executor cannot attribute the crash), tears the
       pool down and respawns it;
     * an attempt past ``job_deadline`` is presumed hung: the watchdog
       kills the pool, charges the overdue job, and *requeues* the
       innocent in-flight siblings without touching their budgets;
-    * more than ``max_pool_respawns`` teardowns degrades the remainder
-      to supervised serial execution via :class:`_DegradeToSerial`.
+    * more than :data:`MAX_POOL_RESPAWNS` teardowns switch the rest of
+      the run to the in-process executor.
 
-    With ``policy.pressure`` set, a :class:`~repro.harness.resources.
-    HostPressureMonitor` is consulted between dispatch waves: under
-    memory or load pressure the number of in-flight futures is capped
-    below the configured worker count (floored at one), and deferred
-    submissions are retried once the next sample clears.  Shrinking the
-    *submission* rate rather than killing workers keeps every in-flight
-    simulation's determinism intact — pressure changes only when work
-    starts, never what it computes.
+    The pool takes every ready job at once, except under a deadline:
+    then at most one job per worker is in flight, so a submitted job is
+    a started job and its deadline clock does not run while it queues,
+    and freed slots are refilled before the finished jobs are stored.
+    The in-process executor takes one job at a time, so each result is
+    stored before the next job runs.
     """
     retry = policy.retry
-    monitor = (resources.HostPressureMonitor(policy.pressure)
-               if policy.pressure is not None else None)
-    live_cap = pool.workers
     ready: deque = deque((job, 1) for job in pending)
     backoff: List[Tuple[float, int, Job, int]] = []  # (due, seq, job, att)
     seq = 0
-    inflight: Dict[object, Tuple[Job, int, Optional[float]]] = {}
+    inflight: Dict[Future, Tuple[Job, int, Optional[float]]] = {}
 
     def fail(job: Job, attempt: int, domain: str, error: str,
              exc: Optional[BaseException] = None) -> None:
@@ -502,12 +448,7 @@ def _drain_supervised(pool: WorkerPool, pending: Sequence[Job],
         bundle = getattr(exc, "bundle_path", None) if exc is not None else None
         if bundle:
             stats.forensics[job.label] = bundle
-        # A validation failure or budget breach is deterministic (same
-        # inputs, same stats, same violation on retry); burning the
-        # retry budget on it would just repeat the simulation —
-        # quarantine straight away.
-        fatal = isinstance(exc, _NO_RETRY)
-        if fatal or attempt >= retry.max_attempts:
+        if isinstance(exc, _NO_RETRY) or attempt >= retry.max_attempts:
             stats.quarantined[job.label] = error
             return
         stats.retries += 1
@@ -518,6 +459,7 @@ def _drain_supervised(pool: WorkerPool, pending: Sequence[Job],
     def break_pool(culprits: Dict[str, str], domain: str) -> None:
         """Tear down + respawn; ``culprits`` (label -> error) are charged
         an attempt, innocent in-flight jobs are requeued for free."""
+        nonlocal pool
         stats.pool_respawns += 1
         victims = list(inflight.values())
         inflight.clear()
@@ -528,67 +470,73 @@ def _drain_supervised(pool: WorkerPool, pending: Sequence[Job],
             else:
                 stats.requeues += 1
                 ready.append((job, attempt))
-        if stats.pool_respawns > policy.max_pool_respawns:
+        if stats.pool_respawns > MAX_POOL_RESPAWNS:
             stats.degraded_serial = True
-            remainder = list(ready)
-            remainder.extend((job, att) for _due, _s, job, att in
-                             sorted(backoff))
-            raise _DegradeToSerial(remainder)
+            pool = None
+
+    def top_up() -> None:
+        """Submit ready jobs until the executor's in-flight cap."""
+        if pool is None:
+            executor, cap = _InProcess, 1
+        else:
+            executor = pool.executor
+            cap = pool.workers if policy.job_deadline else float("inf")
+        try:
+            while ready and len(inflight) < cap:
+                job, attempt = ready[0]
+                future = executor.submit(
+                    _execute_attempt, job, attempt, validate)
+                ready.popleft()
+                inflight[future] = (job, attempt, (
+                    time.perf_counter() + policy.job_deadline
+                    if policy.job_deadline else None))
+        except BrokenProcessPool as exc:
+            break_pool({job.label: str(exc) or "worker process died"
+                        for job, _a, _d in inflight.values()}, DOMAIN_WORKER)
 
     while ready or backoff or inflight:
         now = time.perf_counter()
         while backoff and backoff[0][0] <= now:
             _due, _s, job, attempt = heapq.heappop(backoff)
             ready.append((job, attempt))
-        if monitor is not None and ready:
-            allowed = monitor.allowed_workers(pool.workers)
-            if allowed < live_cap:
-                stats.pressure_shrinks += 1
-            live_cap = allowed
-        try:
-            while ready and (monitor is None or len(inflight) < live_cap):
-                job, attempt = ready[0]
-                deadline = (now + policy.job_deadline
-                            if policy.job_deadline else None)
-                future = pool.executor.submit(
-                    _execute_attempt, job, attempt, validate)
-                ready.popleft()
-                inflight[future] = (job, attempt, deadline)
-        except BrokenProcessPool as exc:
-            break_pool({job.label: str(exc) or "worker process died"
-                        for job, _a, _d in inflight.values()}, DOMAIN_WORKER)
-            continue
-
+        top_up()
         if not inflight:
             if backoff:  # waiting out a backoff window, nothing running
                 time.sleep(max(0.0, backoff[0][0] - time.perf_counter()))
             continue
 
-        timeouts = [policy.watchdog_interval] if policy.job_deadline else []
-        if monitor is not None and ready:
-            # Submissions deferred by the pressure cap must re-check the
-            # host even if nothing in flight completes meanwhile.
-            timeouts.append(max(monitor.policy.min_interval_s,
-                                policy.watchdog_interval))
+        timeouts = [WATCHDOG_INTERVAL] if policy.job_deadline else []
         if backoff:
             timeouts.append(backoff[0][0] - now)
-        wait_timeout = max(0.0, min(timeouts)) if timeouts else None
-        done, _not_done = wait(set(inflight), timeout=wait_timeout,
+        done, _not_done = wait(set(inflight),
+                               timeout=max(0.0, min(timeouts)) if timeouts
+                               else None,
                                return_when=FIRST_COMPLETED)
 
+        landed = []
         pool_broken: Optional[str] = None
         for future in done:
             job, attempt, _deadline = inflight.pop(future)
             try:
-                _label, result = future.result()
+                _label, outcome = future.result()
             except BrokenProcessPool as exc:
                 pool_broken = str(exc) or "worker process died"
-                fail(job, attempt, DOMAIN_WORKER, pool_broken)
+                outcome = exc
             except Exception as exc:
-                fail(job, attempt, _failure_domain(exc), _describe(exc),
-                     exc=exc)
+                outcome = exc
+            landed.append((job, attempt, outcome))
+        if pool is not None and pool_broken is None:
+            top_up()  # refill freed slots before storing what landed
+        for job, attempt, outcome in landed:
+            if isinstance(outcome, BrokenProcessPool):
+                fail(job, attempt, DOMAIN_WORKER, pool_broken)
+            elif isinstance(outcome, Exception):
+                fail(job, attempt, _failure_domain(outcome),
+                     _describe(outcome), exc=outcome)
             else:
-                _finish(stats, job, attempt, result, on_result)
+                stats.attempts[job.label] = attempt
+                outcome.retries = attempt - 1
+                on_result(job.label, outcome, job)
         if pool_broken is not None:
             # Whatever was still in flight shares the dead pool's fate:
             # charge everyone (the crash cannot be attributed).
@@ -601,32 +549,10 @@ def _drain_supervised(pool: WorkerPool, pending: Sequence[Job],
             overdue = {job.label: (f"exceeded {policy.job_deadline:g}s "
                                    "job deadline (presumed hung)")
                        for job, _a, deadline in inflight.values()
-                       if deadline is not None and now >= deadline}
+                       if now >= deadline}
             if overdue:
                 stats.timeouts += len(overdue)
                 break_pool(overdue, DOMAIN_TIMEOUT)
-
-
-def _run_supervised(pending: Sequence[Job], workers: int,
-                    pool: Optional[WorkerPool], policy: SupervisionPolicy,
-                    stats: SupervisionStats,
-                    on_result: Callable[[str, RunResult, Job], None],
-                    validate: bool = False) -> None:
-    """Entry for supervised execution: pool dispatch with serial fallback."""
-    if workers <= 1 or len(pending) <= 1:
-        _run_supervised_serial([(job, 1) for job in pending],
-                               policy, stats, on_result, validate)
-        return
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers)
-    try:
-        _drain_supervised(pool, pending, policy, stats, on_result, validate)
-    except _DegradeToSerial as degrade:
-        _run_supervised_serial(degrade.work, policy, stats, on_result,
-                               validate)
-    finally:
-        if own_pool:
-            pool.shutdown()
 
 
 def run_jobs(jobs: Sequence[Job],
@@ -648,22 +574,22 @@ def run_jobs(jobs: Sequence[Job],
     rejected up front (silent overwrites would make missing-result bugs
     invisible).
 
-    ``supervision`` switches execution to the fault-tolerant dispatcher:
-    failed attempts retry with backoff, dead workers respawn the pool,
-    hung attempts are killed at the deadline, and jobs that exhaust
-    their budget are *quarantined* — recorded in ``stats`` (a
+    Execution is supervised by ``supervision`` (default
+    :class:`~repro.harness.supervision.SupervisionPolicy()`): failed
+    attempts retry with backoff, dead workers respawn the pool, hung
+    attempts are killed at the deadline, and jobs that exhaust their
+    budget are *quarantined* — recorded in ``stats`` (a
     :class:`~repro.harness.supervision.SupervisionStats`, created fresh
     unless the caller passes one to inspect) and **omitted from the
-    returned dict** instead of raising mid-sweep.  Without
-    ``supervision`` the first failure propagates, exactly as before.
+    returned dict** instead of raising mid-sweep.
     ``progress`` is invoked after each fresh result lands (and is safely
     persisted if a cache is present) — the campaign checkpoint hook.
 
     ``validate`` runs :func:`~repro.harness.validate.validate_result` on
     every fresh result in the process that produced it; a violation
     raises :class:`~repro.harness.validate.ResultValidationError`, which
-    supervision treats as non-retryable (deterministic failures repeat)
-    and quarantines with a forensics bundle when one is configured.
+    is quarantined without retry (deterministic failures repeat), with
+    a forensics bundle when one is configured.
     Cache hits were validated when first computed and are not re-checked.
     """
     labels = [job.label for job in jobs]
@@ -671,7 +597,9 @@ def run_jobs(jobs: Sequence[Job],
         raise ValueError("job labels must be unique")
     if workers is None:
         workers = pool.workers if pool is not None else (os.cpu_count() or 1)
-    if supervision is not None and stats is None:
+    if supervision is None:
+        supervision = SupervisionPolicy()
+    if stats is None:
         stats = SupervisionStats()
 
     results: Dict[str, RunResult] = {}
@@ -687,10 +615,9 @@ def run_jobs(jobs: Sequence[Job],
                 pending.append(job)
             else:
                 results[job.label] = cached
-        if stats is not None:
-            # Quarantined cache entries recompute below; account for
-            # them so degraded storage is visible in the summary.
-            stats.merge_cache_corruption(cache.corrupt - corrupt_before)
+        # Quarantined cache entries recompute below; account for them
+        # so degraded storage is visible in the summary.
+        stats.merge_cache_corruption(cache.corrupt - corrupt_before)
 
     if pending:
         # Longest-expected-first: the heaviest simulations must start
@@ -712,26 +639,19 @@ def run_jobs(jobs: Sequence[Job],
             # after the result was recorded and persisted.
             faults.note_result()
 
+        own_pool = None
+        if workers <= 1 or len(pending) <= 1:
+            pool = None
+        elif pool is None:
+            pool = own_pool = WorkerPool(workers)
         try:
-            if supervision is not None:
-                _run_supervised(pending, workers, pool, supervision,
-                                stats, on_result, validate)
-            elif workers <= 1 or len(pending) <= 1:
-                for job in pending:
-                    label, result = _execute(job, validate)
-                    on_result(label, result, job)
-            else:
-                executor = pool.executor if pool is not None else (
-                    ProcessPoolExecutor(max_workers=workers))
-                try:
-                    _drain_dynamic(executor, pending, on_result, validate)
-                finally:
-                    if pool is None:
-                        executor.shutdown()
+            _drain(pending, pool, supervision, stats, on_result, validate)
         finally:
+            if own_pool is not None:
+                own_pool.shutdown()
             if cache is not None:
                 cache.flush_costs()
 
-    # Return in the caller's job order, cache hits and fresh runs alike.
-    # Under supervision, quarantined jobs are absent (see ``stats``).
+    # Return in the caller's job order, cache hits and fresh runs alike;
+    # quarantined jobs are absent (see ``stats``).
     return {label: results[label] for label in labels if label in results}

@@ -16,9 +16,8 @@ the two missing signals, built only on what the standard library and
 * **Host pressure** — :class:`HostPressureMonitor` samples available
   memory (``/proc/meminfo`` ``MemAvailable``) and per-CPU load
   (``os.getloadavg``) against :class:`PressurePolicy` watermarks.  The
-  supervised dispatcher uses it to shrink the live worker count between
-  waves; the serve layer uses it to shed new queries to the estimate
-  tier instead of admitting more simulations.
+  serve layer uses it to shed new queries to the estimate tier instead
+  of admitting more simulations.
 
 Honesty note on budget semantics: enforcement is *cooperative*.  The
 sampler observes the worker's RSS before and after the simulation runs
@@ -31,9 +30,9 @@ forensics-carrying quarantine instead of machine-wide collateral damage.
 
 Every reader is fault-injectable through ``REPRO_FAULTS`` kinds
 ``rss_spike`` and ``host_pressure`` (see :mod:`repro.harness.faults`),
-so the chaos suite drives the whole ladder — budget kill, pool shrink,
-serve shed — from numbers the test chose, never from whatever the CI
-host happens to be doing.
+so the chaos suite drives the whole ladder — budget kill, serve shed —
+from numbers the test chose, never from whatever the CI host happens
+to be doing.
 """
 
 from __future__ import annotations
@@ -257,21 +256,12 @@ class PressurePolicy:
     #: Minimum seconds between fresh samples (probe throttle).  Ignored
     #: while a fault plan is installed so chaos tests see every reading.
     min_interval_s: float = 0.5
-    #: Fraction of the configured worker count kept live under pressure
-    #: (floored at one worker — progress is never fully stopped).
-    shrink_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_available_mb < 0:
             raise ValueError("min_available_mb must be non-negative")
         if self.max_load_per_cpu <= 0:
             raise ValueError("max_load_per_cpu must be positive")
-        if not 0 < self.shrink_factor <= 1:
-            raise ValueError("shrink_factor must be within (0, 1]")
-
-    @classmethod
-    def default(cls) -> "PressurePolicy":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -289,20 +279,18 @@ class PressureReading:
 
 
 class HostPressureMonitor:
-    """Samples host pressure and converts it into worker-count advice.
+    """Samples host pressure against a :class:`PressurePolicy`.
 
-    Deliberately stateless about *what* reacts to pressure: the
-    supervised dispatcher asks :meth:`allowed_workers` between waves,
-    the serve layer asks :meth:`sample` per query and sheds on its own.
-    Counters (``samples``, ``pressured_samples``, ``shrinks``) feed the
-    ``/healthz`` resources block and supervision telemetry.
+    Deliberately stateless about *what* reacts to pressure: the serve
+    layer asks :meth:`sample` per query and sheds on its own.  Counters
+    (``samples``, ``pressured_samples``) feed the ``/healthz`` resources
+    block.
     """
 
     def __init__(self, policy: Optional[PressurePolicy] = None) -> None:
         self.policy = policy or PressurePolicy()
         self.samples = 0
         self.pressured_samples = 0
-        self.shrinks = 0
         self._last: Optional[PressureReading] = None
         self._last_at = float("-inf")
 
@@ -329,21 +317,6 @@ class HostPressureMonitor:
             self.pressured_samples += 1
         return reading
 
-    def allowed_workers(self, configured: int) -> int:
-        """How many workers may be in flight right now.
-
-        Under pressure the configured count is shrunk by the policy's
-        ``shrink_factor``, floored at one — governance slows a campaign
-        down rather than wedging it.
-        """
-        reading = self.sample()
-        if not reading.pressured:
-            return configured
-        allowed = max(1, int(configured * self.policy.shrink_factor))
-        if allowed < configured:
-            self.shrinks += 1
-        return allowed
-
     def snapshot(self) -> dict:
         """JSON-portable telemetry for ``/healthz`` and reports."""
         reading = self.sample()
@@ -360,5 +333,4 @@ class HostPressureMonitor:
             },
             "samples": self.samples,
             "pressured_samples": self.pressured_samples,
-            "shrinks": self.shrinks,
         }

@@ -16,9 +16,10 @@ Concepts
   and attempt number, not a live RNG, so two runs of the same failing
   campaign schedule identically (and tests are reproducible).
 * **Deadline / watchdog** — ``job_deadline`` bounds one attempt's wall
-  clock.  An attempt that exceeds it is presumed hung; the executor's
-  crash domain is torn down and the job re-enters the queue as a
-  failure (it still only gets ``max_attempts`` tries in total).
+  clock from when a worker starts it.  An attempt that exceeds it is
+  presumed hung; the executor's crash domain is torn down and the job
+  re-enters the queue as a failure (it still only gets
+  ``max_attempts`` tries in total).
 * **Quarantine** — a job that exhausts its attempts is *quarantined*:
   recorded with its final error, excluded from results, never retried
   again this run.  One poison job cannot wedge a campaign.
@@ -34,8 +35,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.harness.resources import PressurePolicy
-
 #: Crash-domain labels used by :class:`SupervisionStats.failures`.
 DOMAIN_JOB = "job"          # the job body raised an ordinary exception
 DOMAIN_WORKER = "worker"    # a worker process died (BrokenProcessPool)
@@ -43,18 +42,6 @@ DOMAIN_TIMEOUT = "timeout"  # an attempt exceeded its wall-clock deadline
 DOMAIN_CACHE = "cache"      # a cache entry failed integrity checks
 DOMAIN_VALIDATE = "validate"  # a completed result failed validation
 DOMAIN_RESOURCE = "resource"  # a job breached its resource budget
-
-
-class JobQuarantinedError(RuntimeError):
-    """A job exhausted its retry budget and was quarantined."""
-
-
-class CampaignExecutionError(RuntimeError):
-    """A campaign finished with quarantined jobs or failed figures."""
-
-    def __init__(self, message: str, quarantined: Dict[str, str]) -> None:
-        super().__init__(message)
-        self.quarantined = dict(quarantined)
 
 
 @dataclass(frozen=True)
@@ -101,27 +88,16 @@ class SupervisionPolicy:
     """Everything the executor needs to know about failure handling."""
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Wall-clock seconds one attempt may run before the watchdog calls
-    #: it hung and tears the worker pool down.  ``None`` disables the
-    #: watchdog.  Serial (in-process) execution cannot preempt a hung
-    #: simulation, so deadlines are only enforced under a process pool.
+    #: Wall-clock seconds one attempt may run, from when a worker starts
+    #: it, before the watchdog calls it hung and tears the worker pool
+    #: down.  ``None`` disables the watchdog.  In-process execution
+    #: cannot preempt a hung simulation, so deadlines are only enforced
+    #: under a process pool.
     job_deadline: Optional[float] = None
-    #: How many times the worker pool may be torn down and respawned
-    #: (worker death or watchdog) before execution degrades to serial
-    #: in-process mode for the remaining jobs.
-    max_pool_respawns: int = 3
-    #: Seconds between watchdog sweeps while futures are in flight.
-    watchdog_interval: float = 0.05
-    #: Host-pressure watermarks for adaptive worker shrinking between
-    #: dispatch waves.  ``None`` disables pressure monitoring entirely
-    #: (the dispatcher then never probes /proc between waves).
-    pressure: Optional[PressurePolicy] = None
 
     def __post_init__(self) -> None:
         if self.job_deadline is not None and self.job_deadline <= 0:
             raise ValueError("job_deadline must be positive")
-        if self.max_pool_respawns < 0:
-            raise ValueError("max_pool_respawns must be non-negative")
 
     @classmethod
     def default(cls) -> "SupervisionPolicy":
@@ -142,7 +118,8 @@ class SupervisionStats:
     timeouts: int = 0
     #: Worker-pool teardown/respawn cycles.
     pool_respawns: int = 0
-    #: True once execution fell back to serial in-process mode.
+    #: True once the pool broke too often and the rest of the run went
+    #: to the in-process executor.
     degraded_serial: bool = False
     #: Jobs that exhausted their attempts: label -> final error.
     quarantined: Dict[str, str] = field(default_factory=dict)
@@ -152,8 +129,6 @@ class SupervisionStats:
     attempts: Dict[str, int] = field(default_factory=dict)
     #: Forensics bundles captured for failed jobs: label -> bundle path.
     forensics: Dict[str, str] = field(default_factory=dict)
-    #: Dispatch waves where host pressure shrank the live worker count.
-    pressure_shrinks: int = 0
 
     def record_failure(self, domain: str) -> None:
         self.failures[domain] = self.failures.get(domain, 0) + 1
@@ -179,8 +154,6 @@ class SupervisionStats:
             parts.append(f"pool respawns {self.pool_respawns}")
         if self.degraded_serial:
             parts.append("degraded to serial")
-        if self.pressure_shrinks:
-            parts.append(f"pressure shrinks {self.pressure_shrinks}")
         if self.forensics:
             parts.append(f"forensics bundles {len(self.forensics)}")
         if self.failures:
@@ -205,7 +178,6 @@ class SupervisionStats:
             "failures": dict(self.failures),
             "attempts": dict(self.attempts),
             "forensics": dict(self.forensics),
-            "pressure_shrinks": self.pressure_shrinks,
         }
 
 

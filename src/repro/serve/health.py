@@ -19,7 +19,7 @@ from typing import Dict
 
 #: Overall service statuses.
 STATUS_OK = "ok"
-STATUS_DEGRADED = "degraded"    # breaker open, serial fallback, pressure
+STATUS_DEGRADED = "degraded"    # breaker open or host pressured
 STATUS_DRAINING = "draining"
 
 
@@ -36,9 +36,9 @@ def health_snapshot(server) -> Dict:
     resources = server.resources_snapshot()
     if server.draining:
         status = STATUS_DRAINING
-    elif (breaker["state"] != "closed"
-          or server.supervision_stats.degraded_serial
-          or resources["pressured"]):
+    elif breaker["state"] != "closed" or resources["pressured"]:
+        # No pool fallback to report: serve runs its one background job
+        # at a time in-process, so ``degraded_serial`` is never set.
         status = STATUS_DEGRADED
     else:
         status = STATUS_OK

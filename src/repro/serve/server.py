@@ -8,9 +8,10 @@ objects through three tiers, cheapest first:
    leaves the event budget out, so a regenerated paper at the same
    scale and warps warms the service for free);
 2. **simulated** — the query is admitted to a bounded queue and a
-   background executor runs it through the supervised campaign
-   dispatcher (:func:`~repro.harness.parallel.run_jobs`), streaming the
-   result back before the query's deadline;
+   background executor thread runs it, one job at a time and in
+   process, through the supervised campaign dispatcher
+   (:func:`~repro.harness.parallel.run_jobs`), streaming the result
+   back before the query's deadline;
 3. **estimate** — MPMI-band nearest-neighbor interpolation over
    everything previously simulated, used whenever the backend cannot or
    should not run: breaker open, queue shed, deadline expired, drain.
@@ -120,7 +121,6 @@ class ReproServer:
                  admission: Optional[AdmissionPolicy] = None,
                  breaker_policy: Optional[BreakerPolicy] = None,
                  supervision: Optional[SupervisionPolicy] = None,
-                 workers: int = 1,
                  scale: float = 1.0,
                  warps_per_sm: int = 4,
                  max_events: int = DEFAULT_SERVE_MAX_EVENTS,
@@ -140,7 +140,6 @@ class ReproServer:
         self.index = ServeIndex(self.cache.root)
         self.manifest = ServeManifest(
             self.cache.root / SERVE_DIR / "manifest.json")
-        self.workers = workers
         self.scale = scale
         self.warps_per_sm = warps_per_sm
         self.max_events = max_events
@@ -405,7 +404,7 @@ class ReproServer:
         self.supervision_stats.quarantined.pop(job.label, None)
         ok = False
         try:
-            results = run_jobs([job], workers=self.workers,
+            results = run_jobs([job], workers=1,
                                cache=self.cache,
                                supervision=self.supervision,
                                stats=self.supervision_stats)

@@ -8,16 +8,17 @@ completes with tables *byte-identical* to a fault-free run, or resumes
 from its checkpoint re-executing only the unfinished jobs.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.engine.config import GpuConfig
 from repro.harness import faults
 from repro.harness.campaign import plan_campaign, run_campaign
-from repro.harness.parallel import Job, run_jobs
+from repro.harness.parallel import MAX_POOL_RESPAWNS, Job, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import Session
 from repro.harness.supervision import (
-    CampaignExecutionError,
     RetryPolicy,
     SupervisionPolicy,
     SupervisionStats,
@@ -92,26 +93,6 @@ class TestTransientFaults:
         assert {f: format_table(r) for f, r in report.results.items()} \
             == expected
 
-    def test_strict_campaign_raises_on_quarantine(self):
-        labels = planned_labels()
-        faults.install_faults(
-            [faults.FaultSpec(kind="raise", label=labels[0],
-                              fail_attempts=99)])
-        with pytest.raises(CampaignExecutionError) as excinfo:
-            run_campaign(small_session(), FIGURES, pairs=PAIRS, workers=1,
-                         supervision=QUICK, strict=True)
-        assert labels[0] in excinfo.value.quarantined
-
-    def test_unsupervised_run_jobs_still_raises(self):
-        # supervision=None keeps the PR-2 contract: first failure
-        # propagates to the caller.
-        faults.install_faults(
-            [faults.FaultSpec(kind="raise", label="*", fail_attempts=1)])
-        from repro.harness.parallel import _execute_attempt
-
-        with pytest.raises(faults.InjectedFault):
-            _execute_attempt(tiny_job("a"), 1)
-
 
 class TestWorkerCrash:
     def test_crashed_worker_respawns_and_completes(self):
@@ -133,6 +114,33 @@ class TestWorkerCrash:
         assert set(survived) == set(clean)
         for label in clean:
             assert survived[label].total_cycles == clean[label].total_cycles
+
+    def test_pool_broken_past_the_cap_finishes_in_process(self):
+        # Job "a" kills its worker on every pool attempt, so the pool is
+        # torn down MAX_POOL_RESPAWNS + 1 times; past the cap the rest
+        # of the run, "a"'s next attempt included, runs in-process.
+        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS"),
+                tiny_job("c", seed=1)]
+        clean = run_jobs(jobs, workers=1)
+        faults.install_faults(
+            [faults.FaultSpec(kind="crash", label="a",
+                              fail_attempts=MAX_POOL_RESPAWNS + 1)])
+        stats = SupervisionStats()
+        policy = SupervisionPolicy(retry=RetryPolicy(
+            max_attempts=2 * (MAX_POOL_RESPAWNS + 1), base_delay=0.001))
+        try:
+            survived = run_jobs(jobs, workers=2, supervision=policy,
+                                stats=stats)
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        assert stats.degraded_serial
+        assert stats.pool_respawns == MAX_POOL_RESPAWNS + 1
+        assert stats.attempts["a"] == MAX_POOL_RESPAWNS + 2
+        assert stats.ok
+        assert list(survived) == list(clean)
+        for label in clean:
+            assert survived[label].stats == clean[label].stats
+        assert multiprocessing.active_children() == []
 
     def test_crash_in_serial_fallback_is_survivable(self):
         # On the in-process path a "crash" degrades to an exception
@@ -169,6 +177,30 @@ class TestHangWatchdog:
         assert stats.failures.get("timeout") == 1
         for label in clean:
             assert survived[label].total_cycles == clean[label].total_cycles
+
+    def test_queued_jobs_do_not_time_out(self):
+        # Eight jobs held 0.4 s each on two workers take about 1.6 s in
+        # all.  The 1 s deadline must count from when a worker starts a
+        # job, not from when it was handed to the pool, or the jobs
+        # still queued behind the first two are called hung.
+        jobs = [tiny_job(f"j{seed}", seed=seed) for seed in range(8)]
+        faults.install_faults(
+            [faults.FaultSpec(kind="hang", label="*", fail_attempts=99,
+                              hang_seconds=0.4)])
+        stats = SupervisionStats()
+        policy = SupervisionPolicy(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.001),
+            job_deadline=1.0)
+        try:
+            results = run_jobs(jobs, workers=2, supervision=policy,
+                               stats=stats)
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        assert stats.timeouts == 0
+        assert stats.pool_respawns == 0
+        assert stats.retries == 0
+        assert list(results) == [job.label for job in jobs]
+        assert multiprocessing.active_children() == []
 
 
 class TestCompositeChaos:

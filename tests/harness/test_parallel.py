@@ -19,6 +19,11 @@ from repro.harness.parallel import (
     run_jobs,
 )
 from repro.harness.result_cache import ResultCache, cost_key, job_key
+from repro.harness.supervision import (
+    RetryPolicy,
+    SupervisionPolicy,
+    SupervisionStats,
+)
 
 SCALE = 0.05
 
@@ -84,11 +89,29 @@ class TestParallelMatchesSerial:
 
 
 class TestMaxEvents:
-    def test_max_events_reaches_the_simulator(self):
+    def test_max_events_reaches_the_simulator(self, tmp_path):
         # An impossible budget must trip the manager's exhaustion guard
         # — proof the field actually threads through _execute.
-        with pytest.raises(RuntimeError, match="max_events"):
-            run_jobs([tiny_job("cut", max_events=10)], workers=1)
+        cache = ResultCache(tmp_path)
+        stats = SupervisionStats()
+        assert run_jobs([tiny_job("cut", max_events=10)], workers=1,
+                        cache=cache, stats=stats) == {}
+        assert "EventBudgetExceeded" in stats.quarantined["cut"]
+        assert "max_events" in stats.quarantined["cut"]
+        assert stats.attempts["cut"] == 1
+        assert cache.stores == 0 and cache.misses == 1
+
+    def test_exhausted_budget_is_not_retried(self):
+        # The same job with the same budget exhausts it again, so the
+        # first exhaustion quarantines: one attempt, no retry.
+        stats = SupervisionStats()
+        results = run_jobs([tiny_job("cut", max_events=100)], workers=1,
+                           supervision=SupervisionPolicy.default(),
+                           stats=stats)
+        assert results == {}
+        assert stats.attempts == {"cut": 1}
+        assert stats.retries == 0
+        assert stats.failures == {"job": 1}
 
     def test_max_events_leaves_job_key(self):
         # A run that exhausts its budget raises rather than returning a
@@ -121,9 +144,14 @@ class TestIncrementalStores:
 
         monkeypatch.setattr(parallel_module, "_execute", fail_on_b)
         jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS")]
-        with pytest.raises(RuntimeError):
-            run_jobs(jobs, workers=1, cache=cache)
+        stats = SupervisionStats()
+        once = SupervisionPolicy(retry=RetryPolicy(max_attempts=1))
+        assert set(run_jobs(jobs, workers=1, cache=cache, supervision=once,
+                            stats=stats)) == {"a"}
+        assert "RuntimeError: worker died" in stats.quarantined["b"]
+        assert stats.attempts["b"] == 1
         assert cache.stores == 1  # "a" survived the crash
+        assert cache.misses == 2
 
         monkeypatch.setattr(parallel_module, "_execute", real_execute)
         rerun = run_jobs(jobs, workers=1, cache=cache)

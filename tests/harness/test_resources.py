@@ -1,5 +1,5 @@
 """Resource governance chaos suite: deterministic budget kills and
-host-pressure shrink.
+host-pressure readings.
 
 Every scenario drives the resource ladder from injected readings
 (``REPRO_FAULTS`` kinds ``rss_spike`` / ``host_pressure``), never from
@@ -215,10 +215,16 @@ class TestBudgetQuarantine:
         assert stats.attempts["fat"] == 1
         assert stats.failures.get(DOMAIN_RESOURCE) == 1
 
-    def test_unsupervised_breach_raises(self):
+    def test_default_policy_quarantines_breach(self):
+        # No policy passed: the default one quarantines the breach after
+        # a single attempt instead of raising.
         faults.install_faults([spike(rss_mb=4096.0)])
-        with pytest.raises(ResourceBudgetExceeded):
-            run_jobs([tiny_job("fat", max_rss_mb=256.0)], workers=1)
+        stats = SupervisionStats()
+        assert run_jobs([tiny_job("fat", max_rss_mb=256.0)], workers=1,
+                        stats=stats) == {}
+        assert "ResourceBudgetExceeded" in stats.quarantined["fat"]
+        assert stats.attempts["fat"] == 1
+        assert stats.retries == 0
 
 
 class TestCampaignDeterminism:
@@ -254,40 +260,29 @@ class TestPressurePolicy:
             PressurePolicy(min_available_mb=-1.0)
         with pytest.raises(ValueError):
             PressurePolicy(max_load_per_cpu=0.0)
-        with pytest.raises(ValueError):
-            PressurePolicy(shrink_factor=0.0)
-        with pytest.raises(ValueError):
-            PressurePolicy(shrink_factor=1.5)
 
     def test_default(self):
-        policy = PressurePolicy.default()
+        policy = PressurePolicy()
         assert policy.min_available_mb > 0
-        assert 0 < policy.shrink_factor <= 1
+        assert policy.max_load_per_cpu > 0
 
 
 class TestHostPressureMonitor:
     def _monitor(self):
         return HostPressureMonitor(PressurePolicy(min_interval_s=0.0))
 
-    def test_memory_pressure_shrinks_workers(self):
+    def test_readings_flag_memory_and_load_pressure(self):
+        monitor = self._monitor()
         faults.install_faults([pressure(available_mb=0.0)])
-        monitor = self._monitor()
-        assert monitor.allowed_workers(4) == 2
-        assert monitor.allowed_workers(1) == 1  # floored, never zero
-        assert monitor.shrinks >= 1
-
-    def test_load_pressure_shrinks_workers(self):
+        reading = monitor.sample()
+        assert reading.memory_pressured and not reading.load_pressured
         faults.install_faults([pressure(available_mb=10**6, load=64.0)])
-        monitor = self._monitor()
         reading = monitor.sample()
         assert reading.load_pressured and not reading.memory_pressured
-        assert monitor.allowed_workers(4) == 2
-
-    def test_unpressured_keeps_configured_count(self):
         faults.install_faults([pressure(available_mb=10**6, load=0.0)])
-        monitor = self._monitor()
-        assert monitor.allowed_workers(4) == 4
-        assert monitor.shrinks == 0
+        assert not monitor.sample().pressured
+        assert monitor.samples == 3
+        assert monitor.pressured_samples == 2
 
     def test_throttle_reuses_last_reading(self):
         monitor = HostPressureMonitor(PressurePolicy(min_interval_s=60.0))
@@ -307,43 +302,6 @@ class TestHostPressureMonitor:
         assert snap["load_per_cpu"] == 64.0
         assert set(snap["watermarks"]) == {"min_available_mb",
                                            "max_load_per_cpu"}
-        for key in ("samples", "pressured_samples", "shrinks"):
+        for key in ("samples", "pressured_samples"):
             assert snap[key] >= 0
 
-
-class TestPressureShrinkDispatch:
-    def test_shrunk_pool_produces_identical_results(self):
-        jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS"),
-                tiny_job("c", seed=1)]
-        clean = run_jobs(jobs, workers=1)
-        faults.install_faults([pressure(available_mb=0.0)])
-        stats = SupervisionStats()
-        policy = SupervisionPolicy(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.001),
-            pressure=PressurePolicy(min_interval_s=0.0))
-        try:
-            governed = run_jobs(jobs, workers=2, supervision=policy,
-                                stats=stats)
-        except (OSError, PermissionError):
-            pytest.skip("process creation not permitted in this environment")
-        assert stats.pressure_shrinks >= 1
-        assert set(governed) == set(clean)
-        for label in clean:
-            assert governed[label].total_cycles == clean[label].total_cycles
-
-    def test_pressure_shrinks_land_in_report_schema(self):
-        faults.install_faults([pressure(available_mb=0.0)])
-        stats = SupervisionStats()
-        policy = SupervisionPolicy(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.001),
-            pressure=PressurePolicy(min_interval_s=0.0))
-        try:
-            run_jobs([tiny_job("a"), tiny_job("b", pair="FFT.HS")],
-                     workers=2, supervision=policy, stats=stats)
-        except (OSError, PermissionError):
-            pytest.skip("process creation not permitted in this environment")
-        doc = stats.to_dict()
-        assert doc["pressure_shrinks"] == stats.pressure_shrinks
-        assert stats.pressure_shrinks >= 1
-        if stats.pressure_shrinks:
-            assert "pressure shrinks" in stats.summary()

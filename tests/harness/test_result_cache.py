@@ -19,6 +19,7 @@ from repro.harness.result_cache import (
     encode_entry,
     job_key,
 )
+from repro.harness.supervision import SupervisionStats
 
 SCALE = 0.05
 
@@ -220,9 +221,19 @@ class TestEventBudget:
 
     def test_exhausted_budget_raises_and_stores_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
+        stats = SupervisionStats()
+        job = tiny_job(max_events=10)
+        assert run_jobs([job], workers=1, cache=cache, stats=stats) == {}
+        assert "EventBudgetExceeded" in stats.quarantined["job"]
+        assert stats.attempts["job"] == 1
+        session = Session(scale=SCALE, warps_per_sm=2,
+                          max_events=job.max_events,
+                          cache_dir=str(cache.root))
         with pytest.raises(EventBudgetExceeded):
-            run_jobs([tiny_job(max_events=10)], workers=1, cache=cache)
-        assert cache.stores == 0 and len(cache) == 0
+            session.run_names(job.names, job.config)
+        assert cache.misses == 1 and session.disk_cache.misses == 1
+        assert cache.stores == 0 and session.disk_cache.stores == 0
+        assert len(cache) == 0
 
     def test_covering_budget_is_answered_from_the_cache(self, stored,
                                                         monkeypatch):
@@ -251,8 +262,10 @@ class TestEventBudget:
         cache, result = stored
         job = tiny_job(max_events=result.events_fired - 1)
         hits, misses = cache.hits, cache.misses
-        with pytest.raises(EventBudgetExceeded):
-            run_jobs([job], workers=1, cache=cache)
+        stats = SupervisionStats()
+        assert run_jobs([job], workers=1, cache=cache, stats=stats) == {}
+        assert "EventBudgetExceeded" in stats.quarantined["job"]
+        assert stats.attempts["job"] == 1
         assert cache.hits == hits and cache.misses == misses + 1
         session = Session(scale=SCALE, warps_per_sm=2,
                           max_events=job.max_events,

@@ -58,7 +58,6 @@ class TestSupervisionPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"job_deadline": 0.0},
         {"job_deadline": -5.0},
-        {"max_pool_respawns": -1},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.harness.supervision import (
     SupervisionPolicy,
     SupervisionStats,
 )
-from repro.harness.validate import ResultValidationError, ValidationReport
+from repro.harness.validate import ValidationReport
 
 
 def _jobs():
@@ -88,11 +88,17 @@ def test_validation_passes_are_invisible():
     assert not stats.forensics
 
 
-def test_unsupervised_validation_raises(monkeypatch):
+def test_default_policy_quarantines_validation_failure(monkeypatch):
+    # No policy passed: the default one still quarantines instead of
+    # raising, after a single attempt.
     monkeypatch.setattr(parallel, "validate_result",
                         _failing_validator("HS"))
-    with pytest.raises(ResultValidationError):
-        run_jobs(_jobs()[:1], workers=1, validate=True)
+    stats = SupervisionStats()
+    assert run_jobs(_jobs()[:1], workers=1, stats=stats,
+                    validate=True) == {}
+    assert "ResultValidationError" in stats.quarantined["HS.MM/dws"]
+    assert stats.attempts["HS.MM/dws"] == 1
+    assert stats.retries == 0
 
 
 def test_campaign_jobs_validate_by_default(tmp_path):

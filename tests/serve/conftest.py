@@ -31,7 +31,7 @@ def make_server(root, **overrides) -> ReproServer:
                                   drain_timeout_s=2.0),
         breaker_policy=TEST_BREAKER,
         supervision=QUICK_SUPERVISION,
-        workers=1, scale=SCALE, warps_per_sm=2, max_events=MAX_EVENTS)
+        scale=SCALE, warps_per_sm=2, max_events=MAX_EVENTS)
     kwargs.update(overrides)
     return ReproServer(root, **kwargs)
 

@@ -179,7 +179,7 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve", "--cache-dir", "/tmp/c"])
         assert args.host == "127.0.0.1"
         assert args.port == 8642
-        assert args.workers == 1
+        assert "workers" not in vars(args)  # one job at a time, in-process
         assert args.max_queue_depth == 8
         assert args.deadline == 30.0
 
