@@ -80,7 +80,11 @@ from repro.harness.supervision import (
     SupervisionStats,
 )
 from repro.harness.validate import ResultValidationError, validate_result
-from repro.tenancy.manager import MultiTenantManager, RunResult
+from repro.tenancy.manager import (
+    MultiTenantManager,
+    RunResult,
+    collector_quiet,
+)
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import MemoizedWorkload, TraceMemo
 from repro.workloads.suite import BENCHMARKS, benchmark
@@ -155,16 +159,18 @@ def _tenant_for(index: int, name: str, scale: float) -> Tenant:
 
 
 def _execute(job: Job, validate: bool = False) -> Tuple[str, RunResult]:
-    tenants = [_tenant_for(i, name, job.scale)
-               for i, name in enumerate(job.names)]
-    manager = MultiTenantManager(job.config, tenants,
-                                 warps_per_sm=job.warps_per_sm,
-                                 seed=job.seed, max_events=job.max_events,
-                                 label=job.label)
-    if job.max_rss_mb is None:
-        result = manager.run()
-    else:
-        result = _run_with_rss_budget(job, manager)
+    with collector_quiet():
+        manager = MultiTenantManager(
+            job.config,
+            [_tenant_for(i, name, job.scale)
+             for i, name in enumerate(job.names)],
+            warps_per_sm=job.warps_per_sm, seed=job.seed,
+            max_events=job.max_events, label=job.label)
+        if job.max_rss_mb is None:
+            result = manager.run()
+        else:
+            result = _run_with_rss_budget(job, manager)
+        del manager  # unreachable before the scope's young pass
     if validate:
         report = validate_result(result)
         if not report.ok:
@@ -494,65 +500,74 @@ def _drain(pending: Sequence[Job], pool: Optional[WorkerPool],
             break_pool({job.label: str(exc) or "worker process died"
                         for job, _a, _d in inflight.values()}, DOMAIN_WORKER)
 
-    while ready or backoff or inflight:
-        now = time.perf_counter()
-        while backoff and backoff[0][0] <= now:
-            _due, _s, job, attempt = heapq.heappop(backoff)
-            ready.append((job, attempt))
-        top_up()
-        if not inflight:
-            if backoff:  # waiting out a backoff window, nothing running
-                time.sleep(max(0.0, backoff[0][0] - time.perf_counter()))
-            continue
-
-        timeouts = [WATCHDOG_INTERVAL] if policy.job_deadline else []
-        if backoff:
-            timeouts.append(backoff[0][0] - now)
-        done, _not_done = wait(set(inflight),
-                               timeout=max(0.0, min(timeouts)) if timeouts
-                               else None,
-                               return_when=FIRST_COMPLETED)
-
-        landed = []
-        pool_broken: Optional[str] = None
-        for future in done:
-            job, attempt, _deadline = inflight.pop(future)
-            try:
-                _label, outcome = future.result()
-            except BrokenProcessPool as exc:
-                pool_broken = str(exc) or "worker process died"
-                outcome = exc
-            except Exception as exc:
-                outcome = exc
-            landed.append((job, attempt, outcome))
-        if pool is not None and pool_broken is None:
-            top_up()  # refill freed slots before storing what landed
-        for job, attempt, outcome in landed:
-            if isinstance(outcome, BrokenProcessPool):
-                fail(job, attempt, DOMAIN_WORKER, pool_broken)
-            elif isinstance(outcome, Exception):
-                fail(job, attempt, _failure_domain(outcome),
-                     _describe(outcome), exc=outcome)
-            else:
-                stats.attempts[job.label] = attempt
-                outcome.retries = attempt - 1
-                on_result(job.label, outcome, job)
-        if pool_broken is not None:
-            # Whatever was still in flight shares the dead pool's fate:
-            # charge everyone (the crash cannot be attributed).
-            break_pool({job.label: pool_broken
-                        for job, _a, _d in inflight.values()}, DOMAIN_WORKER)
-            continue
-
-        if policy.job_deadline:
+    try:
+        while ready or backoff or inflight:
             now = time.perf_counter()
-            overdue = {job.label: (f"exceeded {policy.job_deadline:g}s "
-                                   "job deadline (presumed hung)")
-                       for job, _a, deadline in inflight.values()
-                       if now >= deadline}
-            if overdue:
-                stats.timeouts += len(overdue)
-                break_pool(overdue, DOMAIN_TIMEOUT)
+            while backoff and backoff[0][0] <= now:
+                _due, _s, job, attempt = heapq.heappop(backoff)
+                ready.append((job, attempt))
+            top_up()
+            if not inflight:
+                if backoff:  # waiting out a backoff window, nothing running
+                    time.sleep(max(0.0, backoff[0][0] - time.perf_counter()))
+                continue
+
+            timeouts = [WATCHDOG_INTERVAL] if policy.job_deadline else []
+            if backoff:
+                timeouts.append(backoff[0][0] - now)
+            done, _not_done = wait(set(inflight),
+                                   timeout=max(0.0, min(timeouts)) if timeouts
+                                   else None,
+                                   return_when=FIRST_COMPLETED)
+
+            landed = []
+            pool_broken: Optional[str] = None
+            for future in done:
+                job, attempt, _deadline = inflight.pop(future)
+                try:
+                    _label, outcome = future.result()
+                except BrokenProcessPool as exc:
+                    pool_broken = str(exc) or "worker process died"
+                    outcome = exc
+                except Exception as exc:
+                    outcome = exc
+                landed.append((job, attempt, outcome))
+            if pool is not None and pool_broken is None:
+                top_up()  # refill freed slots before storing what landed
+            for job, attempt, outcome in landed:
+                if isinstance(outcome, BrokenProcessPool):
+                    fail(job, attempt, DOMAIN_WORKER, pool_broken)
+                elif isinstance(outcome, Exception):
+                    fail(job, attempt, _failure_domain(outcome),
+                         _describe(outcome), exc=outcome)
+                else:
+                    stats.attempts[job.label] = attempt
+                    outcome.retries = attempt - 1
+                    on_result(job.label, outcome, job)
+            if pool_broken is not None:
+                # Whatever was still in flight shares the dead pool's fate:
+                # charge everyone (the crash cannot be attributed).
+                break_pool({job.label: pool_broken
+                            for job, _a, _d in inflight.values()},
+                           DOMAIN_WORKER)
+                continue
+
+            if policy.job_deadline:
+                now = time.perf_counter()
+                overdue = {job.label: (f"exceeded {policy.job_deadline:g}s "
+                                       "job deadline (presumed hung)")
+                           for job, _a, deadline in inflight.values()
+                           if now >= deadline}
+                if overdue:
+                    stats.timeouts += len(overdue)
+                    break_pool(overdue, DOMAIN_TIMEOUT)
+    except BaseException:
+        # Unwinding (an interrupt, SIGTERM, a failing store): cancel
+        # what the pool has not started, so shutting it down waits only
+        # for the running jobs instead of simulating the whole queue.
+        for future in inflight:
+            future.cancel()
+        raise
 
 
 def run_jobs(jobs: Sequence[Job],

@@ -18,7 +18,11 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.engine.config import GpuConfig, config_key
 from repro.harness.parallel import Job
 from repro.harness.result_cache import ResultCache, cost_key, job_key
-from repro.tenancy.manager import MultiTenantManager, RunResult
+from repro.tenancy.manager import (
+    MultiTenantManager,
+    RunResult,
+    collector_quiet,
+)
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import Workload
 from repro.workloads.pairs import split_pair
@@ -117,13 +121,7 @@ class Session:
             if cached is not None:
                 self._run_cache[key] = cached
                 return cached
-        manager = MultiTenantManager(
-            config, self.tenants_for(names),
-            warps_per_sm=self.warps_per_sm, seed=self.seed,
-            max_events=self.max_events,
-        )
-        cached = manager.run()
-        self.simulations_executed += 1
+        cached = self._simulate(self.tenants_for(names), config)
         self._run_cache[key] = cached
         if self.disk_cache is not None:
             self.disk_cache.put(disk_key, cached)
@@ -150,14 +148,7 @@ class Session:
 
         if profiler is None:
             profiler = EngineProfiler()
-        manager = MultiTenantManager(
-            config, self.tenants_for(names),
-            warps_per_sm=self.warps_per_sm, seed=self.seed,
-            max_events=self.max_events,
-        )
-        with profiler.attach(manager.sim):
-            result = manager.run()
-        self.simulations_executed += 1
+        result = self._simulate(self.tenants_for(names), config, profiler)
         self.prime(names, config, result)
         return result, profiler
 
@@ -173,15 +164,30 @@ class Session:
         key = (("custom", label), config_key(config))
         cached = self._run_cache.get(key)
         if cached is None:
-            tenants = [Tenant(i, wl) for i, wl in enumerate(workloads)]
+            cached = self._simulate(
+                [Tenant(i, wl) for i, wl in enumerate(workloads)], config)
+            self._run_cache[key] = cached
+        return cached
+
+    def _simulate(self, tenants: Sequence[Tenant], config: GpuConfig,
+                  profiler=None) -> RunResult:
+        """Build, run and drop one simulation, profiled when
+        ``profiler`` is given: the session's one
+        :class:`MultiTenantManager`, freed on the way out by
+        :func:`collector_quiet`'s young pass."""
+        with collector_quiet():
             manager = MultiTenantManager(
                 config, tenants, warps_per_sm=self.warps_per_sm,
                 seed=self.seed, max_events=self.max_events,
             )
-            cached = manager.run()
-            self.simulations_executed += 1
-            self._run_cache[key] = cached
-        return cached
+            if profiler is None:
+                result = manager.run()
+            else:
+                with profiler.attach(manager.sim):
+                    result = manager.run()
+            del manager  # unreachable before the scope's young pass
+        self.simulations_executed += 1
+        return result
 
     def standalone(self, name: str,
                    config: Optional[GpuConfig] = None) -> StandaloneMeasurement:

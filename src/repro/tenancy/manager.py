@@ -11,14 +11,17 @@ executions."
 every tenant's warp streams, relaunches early finishers with fresh
 streams, stops when every tenant has at least one completed execution,
 and packages per-tenant IPC plus the subsystem statistics into a
-:class:`RunResult`.
+:class:`RunResult`.  :func:`collector_quiet` is the scope a caller builds,
+runs and drops one simulation in.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.engine.config import GpuConfig
 from repro.engine.rng import DeterministicRng
@@ -94,6 +97,40 @@ class RunResult:
 
     def stat(self, name: str, default: float = 0.0) -> float:
         return self.stats.get(name, default)
+
+
+@contextmanager
+def collector_quiet() -> Iterator[None]:
+    """Pause the cyclic garbage collector while one simulation is built
+    and run, then free its object graph in one young-generation pass.
+
+    A simulation is a cyclic graph of thousands of GC-tracked objects
+    (simulator, GPU, SMs, TLBs, walkers, the event ring) that reference
+    counting cannot free.  With the collector running, young passes
+    during construction and the run promote the live graph, so once
+    dropped it waits for a full collection over every tracked object in
+    the process.  Paused, the graph stays in generation 0, and since a
+    running simulation makes no cyclic garbage of its own
+    (``tests/tenancy/test_collector_quiet.py``) the pause cannot grow
+    memory past what the live graph holds.  On exit, also by exception,
+    the collector is re-enabled and one ``gc.collect(0)`` frees the
+    graph, provided no frame still holds the manager: callers ``del`` it
+    inside the block.  What survives (the :class:`RunResult`, new
+    trace-memo entries) moves to generation 1 as it would have anyway.
+
+    A collector that the caller or an enclosing scope already disabled
+    is left alone and nothing is collected, so nested scopes and
+    concurrent threads need no special case.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect(0)
 
 
 class MultiTenantManager:

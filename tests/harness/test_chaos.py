@@ -9,13 +9,14 @@ from its checkpoint re-executing only the unfinished jobs.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
 from repro.engine.config import GpuConfig
 from repro.harness import faults
 from repro.harness.campaign import plan_campaign, run_campaign
-from repro.harness.parallel import MAX_POOL_RESPAWNS, Job, run_jobs
+from repro.harness.parallel import MAX_POOL_RESPAWNS, Job, WorkerPool, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import Session
 from repro.harness.supervision import (
@@ -302,3 +303,28 @@ class TestMidCampaignKill:
         other = run_campaign(small_session(tmp_path), FIGURES,
                              pairs=["HS.MM"], workers=1)
         assert other.resumed_from_checkpoint == 0
+
+    @pytest.mark.parametrize("owner", ["run_jobs", "caller"])
+    def test_interrupt_cancels_the_queued_jobs(self, owner):
+        # Sixteen jobs held 0.5 s each on two workers need eight rounds
+        # (4 s).  After an interrupt only the running jobs may finish:
+        # the two on workers and the few the executor already queued
+        # for them, at most four rounds.  Jobs the pool has not started
+        # are cancelled, whether run_jobs or the caller owns the pool.
+        jobs = [tiny_job(f"j{seed}", seed=seed) for seed in range(16)]
+        faults.install_faults([
+            faults.FaultSpec(kind="hang", label="*", fail_attempts=99,
+                             hang_seconds=0.5),
+            faults.FaultSpec(kind="interrupt", after_results=1)])
+        start = time.perf_counter()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                if owner == "caller":
+                    with WorkerPool(2) as pool:
+                        run_jobs(jobs, pool=pool)
+                else:
+                    run_jobs(jobs, workers=2)
+        except (OSError, PermissionError):
+            pytest.skip("process creation not permitted in this environment")
+        assert time.perf_counter() - start < 3.0
+        assert multiprocessing.active_children() == []
