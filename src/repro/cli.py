@@ -12,8 +12,9 @@ Commands:
 * ``campaign`` — plan + execute many figures at once: jobs are
   deduplicated across figures and against the result cache, then run on
   the work-stealing pool (see ``repro.harness.campaign``).
-* ``replay <bundle>`` — re-run the simulation a crash-forensics bundle
-  describes; exits 0 when the recorded failure reproduces, 3 when not.
+* ``replay <bundle>`` — re-run the job a crash-forensics bundle
+  records; exits 0 when the recorded failure reproduces, 3 when not, 2
+  when the bundle is unreadable or records a run no job describes.
 * ``serve`` — long-running capacity-planning query service over the
   result cache: exact/simulated/estimate answer tiers, admission
   control, circuit breaker, checkpointed graceful drain (see
@@ -400,7 +401,7 @@ def cmd_replay(args) -> int:
           f"recorded failure: {error.get('type')}")
     try:
         outcome = replay_bundle(bundle)
-    except ValueError as exc:  # bundle not replayable (custom workloads)
+    except ValueError as exc:  # malformed, or a run no job describes
         print(str(exc), file=sys.stderr)
         return 2
     if outcome.reproduced:

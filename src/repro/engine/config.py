@@ -203,10 +203,6 @@ class GpuConfig:
     def with_num_sms(self, num_sms: int) -> "GpuConfig":
         return replace(self, sm=replace(self.sm, num_sms=num_sms))
 
-    def scaled_down(self, num_sms: int = 8) -> "GpuConfig":
-        """A smaller GPU for fast tests; hardware ratios preserved."""
-        return self.with_num_sms(num_sms)
-
     @property
     def page_size(self) -> int:
         return 1 << self.page_size_bits

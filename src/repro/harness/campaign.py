@@ -44,6 +44,7 @@ Entry points: :func:`plan_campaign` (inspection / dry runs) and
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -264,51 +265,6 @@ def campaign_key(session: Session, figures: Sequence[str],
 MANIFEST_FORMAT = 1
 
 
-def job_to_dict(job: Job) -> dict:
-    """JSON-portable description of one :class:`Job`.
-
-    The serve layer checkpoints *pending* background jobs across
-    restarts (the campaign manifest only needs completed hashes), so the
-    whole job description — config included — must round-trip through
-    plain JSON.  :func:`job_from_dict` is the inverse.
-    """
-    import dataclasses
-
-    return {
-        "label": job.label,
-        "names": list(job.names),
-        "config": dataclasses.asdict(job.config),
-        "scale": job.scale,
-        "warps_per_sm": job.warps_per_sm,
-        "seed": job.seed,
-        "max_events": job.max_events,
-        "max_rss_mb": job.max_rss_mb,
-    }
-
-
-def job_from_dict(data: dict) -> Job:
-    """Rebuild a :class:`Job` from :func:`job_to_dict` output.
-
-    Raises ``ValueError``/``KeyError``/``TypeError`` on malformed input;
-    callers treat a job that fails to parse as lost work, never as a
-    crash (a stale manifest must not wedge a restart).
-    """
-    from repro.engine.config import config_from_dict
-
-    return Job(
-        label=str(data["label"]),
-        names=tuple(str(n) for n in data["names"]),
-        config=config_from_dict(data["config"]),
-        scale=float(data["scale"]),
-        warps_per_sm=int(data["warps_per_sm"]),
-        seed=int(data["seed"]),
-        max_events=int(data["max_events"]),
-        # Absent in pre-governance manifests; a missing budget means none.
-        max_rss_mb=(None if data.get("max_rss_mb") is None
-                    else float(data["max_rss_mb"])),
-    )
-
-
 class CampaignManifest:
     """Crash-safe progress checkpoint for one campaign.
 
@@ -504,10 +460,8 @@ def run_campaign(session: Session,
         if label in seen_labels:
             label = f"{job.label}#{key[:8]}"
         seen_labels.add(label)
-        unique_jobs.append((key, Job(
-            label=label, names=job.names, config=job.config,
-            scale=job.scale, warps_per_sm=job.warps_per_sm, seed=job.seed,
-            max_events=job.max_events,
+        unique_jobs.append((key, dataclasses.replace(
+            job, label=label,
             max_rss_mb=max_rss_mb if max_rss_mb is not None
             else job.max_rss_mb,
         )))

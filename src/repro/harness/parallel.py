@@ -47,6 +47,14 @@ failures switch the rest of the run to the in-process executor.  The
 failure modes themselves are exercised deterministically by
 :mod:`repro.harness.faults` and ``tests/harness/test_chaos.py``.
 
+Every simulation in the program, not only the jobs dispatched here, is
+built, run and dropped by :func:`simulate`, the one place that
+constructs a :class:`~repro.tenancy.manager.MultiTenantManager`.
+:func:`run_job` is the Job path on top of it: memoized suite tenants,
+the job's budgets, validation and forensics.  Workers, serial
+``run_jobs``, serve, seed studies and crash replay all run jobs through
+it.
+
 The static ``pool.map`` scheduler this replaced lives on in git history
 (commit ``84c30fb``); ``benchmarks/bench_sweep_throughput.py`` runs that
 tree in a child process as its reference.
@@ -54,6 +62,7 @@ tree in a child process as its reference.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import os
 import time
@@ -65,7 +74,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as wait_for_exit
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.config import GpuConfig
+from repro.engine.config import GpuConfig, config_from_dict
 from repro.engine.simulator import EventBudgetExceeded
 from repro.harness import faults, resources
 from repro.harness.resources import ResourceBudgetExceeded, RssSampler
@@ -81,6 +90,7 @@ from repro.harness.supervision import (
 )
 from repro.harness.validate import ResultValidationError, validate_result
 from repro.tenancy.manager import (
+    DEFAULT_MAX_EVENTS,
     MultiTenantManager,
     RunResult,
     collector_quiet,
@@ -88,9 +98,6 @@ from repro.tenancy.manager import (
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import MemoizedWorkload, TraceMemo
 from repro.workloads.suite import BENCHMARKS, benchmark
-
-#: Default event budget for harness-built jobs (matches Session's).
-DEFAULT_MAX_EVENTS = 200_000_000
 
 #: Pseudo-seconds per footprint byte for the cold-cache cost heuristic.
 #: The absolute value is irrelevant (only the ordering matters); it is
@@ -130,6 +137,50 @@ class Job:
             raise ValueError("max_rss_mb must be positive")
 
 
+def job_to_dict(job: Job) -> dict:
+    """JSON-portable description of one :class:`Job`.
+
+    The serve layer checkpoints pending jobs across restarts and
+    forensics bundles record the failed job, so the whole description —
+    config included — must round-trip through plain JSON.
+    :func:`job_from_dict` is the inverse.
+    """
+    return {
+        "label": job.label,
+        "names": list(job.names),
+        "config": dataclasses.asdict(job.config),
+        "scale": job.scale,
+        "warps_per_sm": job.warps_per_sm,
+        "seed": job.seed,
+        "max_events": job.max_events,
+        "max_rss_mb": job.max_rss_mb,
+    }
+
+
+def job_from_dict(data: dict) -> Job:
+    """Rebuild a :class:`Job` from :func:`job_to_dict` output.
+
+    The input comes from outside the program (a manifest, a bundle), so
+    anything malformed raises ``ValueError``: callers treat it as lost
+    work or an unreadable file, never as a crash.
+    """
+    try:
+        return Job(
+            label=str(data["label"]),
+            names=tuple(str(n) for n in data["names"]),
+            config=config_from_dict(data["config"]),
+            scale=float(data["scale"]),
+            warps_per_sm=int(data["warps_per_sm"]),
+            seed=int(data["seed"]),
+            max_events=int(data["max_events"]),
+            # Absent in older manifests and bundles; missing means none.
+            max_rss_mb=(None if data.get("max_rss_mb") is None
+                        else float(data["max_rss_mb"])),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"malformed job description: {exc!r}") from None
+
+
 def pair_jobs(pairs: Sequence[str], configs: Dict[str, GpuConfig],
               scale: float = 1.0, warps_per_sm: int = 4,
               seed: int = 0, max_events: int = DEFAULT_MAX_EVENTS,
@@ -147,97 +198,114 @@ def pair_jobs(pairs: Sequence[str], configs: Dict[str, GpuConfig],
     return jobs
 
 
+def simulate(config: GpuConfig, tenants: Sequence[Tenant], *,
+             warps_per_sm: int, seed: int, max_events: int,
+             min_executions: int = 1, label: Optional[str] = None,
+             profiler=None, max_rss_mb: Optional[float] = None) -> RunResult:
+    """Build, run and drop one simulation: the program's one
+    :class:`MultiTenantManager`.
+
+    The graph is built and run inside :func:`collector_quiet` and
+    dropped before its young pass frees it.  ``profiler`` (an
+    :class:`~repro.engine.profile.EngineProfiler`) is attached around the
+    run.  With ``max_rss_mb`` the run is sampled by an
+    :class:`RssSampler` while the graph is alive: the budget is checked
+    before the run starts (a worker already over budget must not take on
+    more work), by the sampler's background thread, and after the run.
+    A breach raises :class:`ResourceBudgetExceeded` carrying what
+    forensics need: ``resources`` (the sampler's snapshot) and ``stats``
+    (the finished run's, or ``None``).
+    """
+    with collector_quiet():
+        manager = MultiTenantManager(
+            config, tenants, warps_per_sm=warps_per_sm, seed=seed,
+            max_events=max_events, min_executions=min_executions,
+            label=label)
+        if max_rss_mb is None:
+            result = _run(manager, profiler)
+        else:
+            result = _run_within_rss_budget(manager, profiler, max_rss_mb)
+        del manager  # unreachable before the scope's young pass
+    return result
+
+
+def _run(manager: MultiTenantManager, profiler) -> RunResult:
+    if profiler is None:
+        return manager.run()
+    with profiler.attach(manager.sim):
+        return manager.run()
+
+
+def _run_within_rss_budget(manager: MultiTenantManager, profiler,
+                           max_rss_mb: float) -> RunResult:
+    label = manager.label
+    sampler = RssSampler(label)
+    result: Optional[RunResult] = None
+    try:
+        with sampler:
+            resources.check_rss_budget(label, max_rss_mb, sampler)
+            result = _run(manager, profiler)
+        resources.check_rss_budget(label, max_rss_mb, sampler)
+    except ResourceBudgetExceeded as exc:
+        exc.resources = sampler.snapshot()
+        exc.stats = result.stats if result is not None else None
+        raise
+    return result
+
+
 #: One memo per process: in a worker it lives for the pool's lifetime,
 #: so every job the worker steals shares generated traces; in the parent
 #: (``workers=1``) it serves the serial path the same way.
 _TRACE_MEMO = TraceMemo(max_entries=32)
 
 
-def _tenant_for(index: int, name: str, scale: float) -> Tenant:
-    workload = benchmark(name, scale=scale)
-    return Tenant(index, MemoizedWorkload(workload, _TRACE_MEMO))
+def run_job(job: Job, validate: bool = False) -> RunResult:
+    """Run one :class:`Job`: the path of campaign workers, serial
+    :func:`run_jobs`, serve, seed studies and crash replay.
 
-
-def _execute(job: Job, validate: bool = False) -> Tuple[str, RunResult]:
-    with collector_quiet():
-        manager = MultiTenantManager(
-            job.config,
-            [_tenant_for(i, name, job.scale)
-             for i, name in enumerate(job.names)],
-            warps_per_sm=job.warps_per_sm, seed=job.seed,
-            max_events=job.max_events, label=job.label)
-        if job.max_rss_mb is None:
-            result = manager.run()
-        else:
-            result = _run_with_rss_budget(job, manager)
-        del manager  # unreachable before the scope's young pass
+    Tenants are suite benchmarks whose traces come from the process's
+    memo; the job's event and RSS budgets apply.  ``validate`` checks the
+    result with :func:`~repro.harness.validate.validate_result` and
+    raises :class:`ResultValidationError` on a violation.  A validation
+    failure or a budget breach is bundled when forensics are configured,
+    in whichever process ran the job; the bundle path rides back on the
+    (picklable) exception.
+    """
+    tenants = [Tenant(i, MemoizedWorkload(benchmark(name, scale=job.scale),
+                                          _TRACE_MEMO))
+               for i, name in enumerate(job.names)]
+    try:
+        result = simulate(
+            job.config, tenants, warps_per_sm=job.warps_per_sm,
+            seed=job.seed, max_events=job.max_events, label=job.label,
+            max_rss_mb=job.max_rss_mb)
+    except ResourceBudgetExceeded as exc:
+        _capture_forensics(job, exc, exc.stats, exc.resources)
+        raise
     if validate:
         report = validate_result(result)
         if not report.ok:
             error = ResultValidationError(report.violations)
-            _capture_validation_forensics(job, error, result)
+            _capture_forensics(job, error, result.stats)
             raise error
-    return job.label, result
-
-
-def _run_with_rss_budget(job: Job, manager: MultiTenantManager) -> RunResult:
-    """Run one budgeted job under an :class:`RssSampler`.
-
-    The budget is checked before the simulation starts (a worker already
-    over budget must not take on more work), periodically by the
-    sampler's background thread folding into the post-run check, and
-    after the run completes.  A breach captures forensics in-process —
-    the bundle path rides back on the picklable exception — and raises.
-    """
-    sampler = RssSampler(job.label)
-    result: Optional[RunResult] = None
-    try:
-        with sampler:
-            resources.check_rss_budget(job.label, job.max_rss_mb, sampler)
-            result = manager.run()
-        resources.check_rss_budget(job.label, job.max_rss_mb, sampler)
-    except ResourceBudgetExceeded as exc:
-        _capture_resource_forensics(job, exc, sampler, result)
-        raise
     return result
 
 
-def _capture_resource_forensics(job: Job, error: ResourceBudgetExceeded,
-                                sampler: RssSampler,
-                                result: Optional[RunResult]) -> None:
-    """Bundle a budget breach when forensics are configured.
-
-    Mirrors :func:`_capture_validation_forensics`: runs in whichever
-    process executed the job, never masks the breach itself.
-    """
-    from repro.integrity import active_config, capture_job_failure
+def _capture_forensics(job: Job, error: BaseException,
+                       stats: Optional[Dict[str, float]],
+                       resources: Optional[dict] = None) -> None:
+    """Bundle a failure of ``job`` when forensics are configured, and
+    pin the bundle's path to ``error``.  Never masks the failure."""
+    from repro.integrity import active_config, write_bundle
     config = active_config()
     if config is None or config.forensics_dir is None:
         return
     try:
-        capture_job_failure(job, error, config.forensics_dir,
-                            stats=result.stats if result is not None else None,
-                            integrity=config, resources=sampler.snapshot())
+        error.bundle_path = str(write_bundle(
+            config.forensics_dir, error=error, job=job, integrity=config,
+            stats=stats, resources=resources))
     except OSError:
-        pass  # forensics must never mask the budget breach
-
-
-def _capture_validation_forensics(job: Job, error: ResultValidationError,
-                                  result: RunResult) -> None:
-    """Bundle a validation failure when forensics are configured.
-
-    Runs in whichever process executed the job; the bundle path rides
-    back to the supervisor on the (picklable) exception itself.
-    """
-    from repro.integrity import active_config, capture_job_failure
-    config = active_config()
-    if config is None or config.forensics_dir is None:
-        return
-    try:
-        capture_job_failure(job, error, config.forensics_dir,
-                            stats=result.stats, integrity=config)
-    except OSError:
-        pass  # forensics must never mask the validation failure
+        pass  # forensics must never mask the failure itself
 
 
 def _execute_attempt(job: Job, attempt: int,
@@ -249,7 +317,7 @@ def _execute_attempt(job: Job, attempt: int,
     succeed.  With no faults installed this is one env lookup.
     """
     faults.maybe_inject(job.label, attempt - 1)
-    return _execute(job, validate)
+    return job.label, run_job(job, validate)
 
 
 def _describe(exc: BaseException) -> str:

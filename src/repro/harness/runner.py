@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.config import GpuConfig, config_key
-from repro.harness.parallel import Job
+from repro.harness.parallel import Job, simulate
 from repro.harness.result_cache import ResultCache, cost_key, job_key
-from repro.tenancy.manager import (
-    MultiTenantManager,
-    RunResult,
-    collector_quiet,
-)
+from repro.tenancy.manager import DEFAULT_MAX_EVENTS, RunResult
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import Workload
 from repro.workloads.pairs import split_pair
@@ -46,7 +42,7 @@ class Session:
         scale: float = 1.0,
         warps_per_sm: int = 4,
         seed: int = 0,
-        max_events: int = 200_000_000,
+        max_events: int = DEFAULT_MAX_EVENTS,
         cache_dir: Optional[str] = None,
         cache_max_bytes: Optional[int] = None,
     ) -> None:
@@ -121,7 +117,10 @@ class Session:
             if cached is not None:
                 self._run_cache[key] = cached
                 return cached
-        cached = self._simulate(self.tenants_for(names), config)
+        cached = simulate(config, self.tenants_for(names),
+                          warps_per_sm=self.warps_per_sm, seed=self.seed,
+                          max_events=self.max_events)
+        self.simulations_executed += 1
         self._run_cache[key] = cached
         if self.disk_cache is not None:
             self.disk_cache.put(disk_key, cached)
@@ -148,7 +147,10 @@ class Session:
 
         if profiler is None:
             profiler = EngineProfiler()
-        result = self._simulate(self.tenants_for(names), config, profiler)
+        result = simulate(config, self.tenants_for(names),
+                          warps_per_sm=self.warps_per_sm, seed=self.seed,
+                          max_events=self.max_events, profiler=profiler)
+        self.simulations_executed += 1
         self.prime(names, config, result)
         return result, profiler
 
@@ -164,30 +166,13 @@ class Session:
         key = (("custom", label), config_key(config))
         cached = self._run_cache.get(key)
         if cached is None:
-            cached = self._simulate(
-                [Tenant(i, wl) for i, wl in enumerate(workloads)], config)
+            cached = simulate(
+                config, [Tenant(i, wl) for i, wl in enumerate(workloads)],
+                warps_per_sm=self.warps_per_sm, seed=self.seed,
+                max_events=self.max_events)
+            self.simulations_executed += 1
             self._run_cache[key] = cached
         return cached
-
-    def _simulate(self, tenants: Sequence[Tenant], config: GpuConfig,
-                  profiler=None) -> RunResult:
-        """Build, run and drop one simulation, profiled when
-        ``profiler`` is given: the session's one
-        :class:`MultiTenantManager`, freed on the way out by
-        :func:`collector_quiet`'s young pass."""
-        with collector_quiet():
-            manager = MultiTenantManager(
-                config, tenants, warps_per_sm=self.warps_per_sm,
-                seed=self.seed, max_events=self.max_events,
-            )
-            if profiler is None:
-                result = manager.run()
-            else:
-                with profiler.attach(manager.sim):
-                    result = manager.run()
-            del manager  # unreachable before the scope's young pass
-        self.simulations_executed += 1
-        return result
 
     def standalone(self, name: str,
                    config: Optional[GpuConfig] = None) -> StandaloneMeasurement:

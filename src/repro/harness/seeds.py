@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.config import GpuConfig
+from repro.harness.parallel import Job, run_job
 from repro.metrics import total_ipc
-from repro.tenancy.manager import MultiTenantManager, RunResult
-from repro.tenancy.tenant import Tenant
+from repro.tenancy.manager import RunResult
 from repro.workloads.pairs import split_pair
-from repro.workloads.suite import benchmark
 
 
 @dataclass(frozen=True)
@@ -55,15 +54,6 @@ class SeedStats:
         return self.stdev / mu if mu else 0.0
 
 
-def _run(pair: str, config: GpuConfig, scale: float, warps_per_sm: int,
-         seed: int) -> RunResult:
-    names = split_pair(pair)
-    tenants = [Tenant(i, benchmark(n, scale=scale))
-               for i, n in enumerate(names)]
-    return MultiTenantManager(config, tenants, warps_per_sm=warps_per_sm,
-                              seed=seed).run()
-
-
 def seed_study(
     pair: str,
     config: GpuConfig,
@@ -72,11 +62,16 @@ def seed_study(
     warps_per_sm: int = 4,
     metric: Callable[[RunResult], float] = total_ipc,
 ) -> SeedStats:
-    """Measure ``metric`` for one (pair, config) across seeds."""
+    """Measure ``metric`` for one (pair, config) across seeds: one job
+    per seed, run in turn; a failing run raises."""
     if not seeds:
         raise ValueError("need at least one seed")
-    values = tuple(metric(_run(pair, config, scale, warps_per_sm, s))
-                   for s in seeds)
+    names = tuple(split_pair(pair))
+    values = tuple(
+        metric(run_job(Job(label=f"{pair}/seed{seed}", names=names,
+                           config=config, scale=scale,
+                           warps_per_sm=warps_per_sm, seed=seed)))
+        for seed in seeds)
     return SeedStats(values)
 
 

@@ -26,8 +26,8 @@ from repro.integrity.config import (AUDIT_CHEAP, AUDIT_FULL, AUDIT_LEVELS,
                                     active_config, clear_install, install)
 from repro.integrity.errors import InvariantViolation, ProgressStall
 from repro.integrity.forensics import (BUNDLE_FORMAT, ReplayOutcome,
-                                       capture_job_failure, load_bundle,
-                                       replay_bundle, write_bundle)
+                                       load_bundle, replay_bundle,
+                                       write_bundle)
 from repro.integrity.harness import IntegrityHarness
 from repro.integrity.watchdog import ProgressWatchdog
 
@@ -47,7 +47,6 @@ __all__ = [
     "ReplayOutcome",
     "active_config",
     "build_auditor",
-    "capture_job_failure",
     "clear_install",
     "install",
     "load_bundle",

@@ -10,8 +10,8 @@ interesting state is gone by the time a human reads the traceback.  A
 * the exact failing configuration (``dataclasses.asdict`` of the
   :class:`~repro.engine.config.GpuConfig`, reversible via
   :func:`~repro.engine.config.config_from_dict`),
-* the job identity: workload names, scale, warps per SM, seed, event
-  budget,
+* the job: workload names, scale, warps per SM, seed, event and RSS
+  budgets, and whether that job describes the run exactly,
 * a stats snapshot and the simulated time at death,
 * a bounded ring buffer of recent walk events (the
   :class:`~repro.engine.trace.Tracer` records),
@@ -22,8 +22,8 @@ interesting state is gone by the time a human reads the traceback.  A
 
 Bundles are written atomically (:mod:`repro.harness.fsutil`), so a
 crash while capturing a crash never publishes a torn bundle.
-:func:`replay_bundle` (and ``python -m repro replay``) rebuilds the
-simulation from the bundle alone and reports whether the recorded
+:func:`replay_bundle` (and ``python -m repro replay``) re-runs the
+bundle's job on the harness's Job path and reports whether the recorded
 failure reproduces — the determinism guarantee turned into a tool.
 """
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.engine.config import GpuConfig, config_from_dict
 from repro.engine.simulator import SimulationError
 from repro.harness.fsutil import atomic_write_json
 from repro.integrity.config import INTEGRITY_ENV, IntegrityConfig
@@ -89,40 +88,39 @@ def write_bundle(
     directory: Union[str, Path],
     *,
     error: BaseException,
-    names,
-    config: GpuConfig,
-    scale: Optional[float],
-    warps_per_sm: int,
-    seed: int,
-    max_events: int,
+    job,
+    replayable: bool = True,
     integrity: Optional[IntegrityConfig] = None,
     stats: Optional[Dict[str, float]] = None,
     sim_now: Optional[int] = None,
     events_fired: Optional[int] = None,
     trace_records: Optional[List[Dict[str, Any]]] = None,
-    label: Optional[str] = None,
     resources: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Capture one failure as an atomic, self-describing JSON bundle.
+    """Capture one failure of ``job`` (a
+    :class:`~repro.harness.parallel.Job`) as an atomic, self-describing
+    JSON bundle.
 
+    The job section is :func:`~repro.harness.parallel.job_to_dict`'s,
+    with the config moved to the top level and ``replayable`` added:
+    whether ``job`` describes the run exactly (see
+    :meth:`~repro.integrity.harness.IntegrityHarness.capture`).
     ``resources`` is the worker's resource view at death (peak RSS,
     lifetime high-water mark, sample count) — supplied for budget
     breaches, omitted elsewhere.
     """
-    path = _bundle_path(directory, label or ".".join(names))
+    from repro.harness.parallel import job_to_dict
+
+    section = job_to_dict(job)
+    config = section.pop("config")
+    section["replayable"] = replayable
+    path = _bundle_path(directory, job.label or ".".join(job.names))
     payload: Dict[str, Any] = {
         "format": BUNDLE_FORMAT,
         "created_unix": time.time(),
         "error": _error_payload(error),
-        "job": {
-            "label": label,
-            "names": list(names),
-            "scale": scale,
-            "warps_per_sm": warps_per_sm,
-            "seed": seed,
-            "max_events": max_events,
-        },
-        "config": dataclasses.asdict(config),
+        "job": section,
+        "config": config,
         "integrity": dataclasses.asdict(integrity) if integrity else None,
         "environment": {key: os.environ[key] for key in _CAPTURED_ENV
                         if os.environ.get(key)},
@@ -144,8 +142,17 @@ def load_bundle(path: Union[str, Path]) -> Dict[str, Any]:
         raise ValueError(
             f"{path}: not a format-{BUNDLE_FORMAT} forensics bundle")
     for key in ("error", "job", "config"):
-        if key not in data:
-            raise ValueError(f"{path}: bundle is missing {key!r}")
+        if not isinstance(data.get(key), dict):
+            raise ValueError(f"{path}: bundle is missing the {key!r} object")
+    names = data["job"].get("names")
+    if not isinstance(names, list) or not all(isinstance(n, str)
+                                              for n in names):
+        raise ValueError(f"{path}: bundle's job lists no workload names")
+    environment = data.get("environment", {})
+    if not isinstance(environment, dict) or not all(
+            isinstance(value, str) for value in environment.values()):
+        raise ValueError(f"{path}: bundle's environment is not a map of "
+                         f"strings")
     return data
 
 
@@ -163,57 +170,64 @@ class ReplayOutcome:
     result: Optional[object] = None
 
 
-def replay_bundle(bundle: Union[str, Path, Dict[str, Any]],
-                  forensics_dir: Optional[str] = None) -> ReplayOutcome:
-    """Re-run the simulation a bundle describes.
+def replay_bundle(bundle: Union[str, Path, Dict[str, Any]]) -> ReplayOutcome:
+    """Re-run the job a bundle records, on the Job path.
 
-    The replay installs the bundle's captured environment (fault plan
-    and integrity config) for its duration, rebuilds the exact
-    :class:`GpuConfig`, and runs the same workloads/seed/budget.  By
-    default no nested forensics are captured (``forensics_dir=None``
-    overrides the recorded directory) — replaying a crash should
-    diagnose it, not mint another bundle.
+    The job runs through :func:`~repro.harness.parallel.run_job` with
+    validation on, under the bundle's captured fault plan and integrity
+    config, the latter with ``forensics_dir`` cleared: replaying a
+    failure diagnoses it and never mints another bundle.  So every
+    failure :func:`~repro.harness.parallel.run_jobs` records — a
+    :class:`SimulationError`, a validation failure, a budget breach —
+    replays.  Raises ``ValueError`` for a malformed bundle or one whose
+    run no job describes: custom or modified workloads, mixed scales, or
+    more than one execution per tenant.
     """
-    from repro.tenancy.manager import MultiTenantManager
-    from repro.tenancy.tenant import Tenant
-    from repro.workloads.suite import BENCHMARKS, benchmark
+    from repro.harness.parallel import job_from_dict, run_job
+    from repro.harness.validate import ResultValidationError
+    from repro.workloads.suite import BENCHMARKS
 
     if not isinstance(bundle, dict):
         bundle = load_bundle(bundle)
-    job = bundle["job"]
-    names = list(job["names"])
-    unknown = [n for n in names if n not in BENCHMARKS]
+    section = bundle["job"]
+    if section.get("replayable") is False:
+        raise ValueError(
+            "bundle records a run that no job describes (custom or "
+            "modified workloads, mixed scales or repeated executions); "
+            "it cannot be replayed")
+    unknown = [n for n in section["names"] if n not in BENCHMARKS]
     if unknown:
         raise ValueError(
             f"bundle references unknown workloads {unknown}; only "
             f"benchmark-suite runs can be replayed from a bundle")
-    if job.get("scale") is None:
+    if section.get("scale") is None:
         raise ValueError("bundle does not record a workload scale")
-    config = config_from_dict(bundle["config"])
-    integrity_data = bundle.get("integrity")
-    integrity = None
-    if integrity_data:
-        integrity = dataclasses.replace(
-            IntegrityConfig(**integrity_data), forensics_dir=forensics_dir)
+    # A run outside the Job path records no label; "" matches the same
+    # label-filtered faults as that run did.
+    job = job_from_dict({**section, "label": section.get("label") or "",
+                         "config": bundle["config"]})
+    environment = {key: bundle.get("environment", {}).get(key)
+                   for key in _CAPTURED_ENV}
+    environment[INTEGRITY_ENV] = None
+    if bundle.get("integrity"):
+        try:
+            integrity = IntegrityConfig(**bundle["integrity"])
+        except TypeError as exc:
+            raise ValueError(f"malformed integrity config: {exc}") from None
+        environment[INTEGRITY_ENV] = json.dumps(dataclasses.asdict(
+            dataclasses.replace(integrity, forensics_dir=None)))
     expected = bundle["error"].get("type", "SimulationError")
 
-    saved = {key: os.environ.get(key) for key in _CAPTURED_ENV}
+    saved = {key: os.environ.get(key) for key in environment}
     try:
-        for key in _CAPTURED_ENV:
-            value = bundle.get("environment", {}).get(key)
+        for key, value in environment.items():
             if value is not None:
                 os.environ[key] = value
             else:
                 os.environ.pop(key, None)
-        tenants = [Tenant(i, benchmark(name, scale=job["scale"]))
-                   for i, name in enumerate(names)]
-        manager = MultiTenantManager(
-            config, tenants, warps_per_sm=job["warps_per_sm"],
-            seed=job["seed"], max_events=job["max_events"],
-            integrity=integrity)
         try:
-            result = manager.run()
-        except SimulationError as exc:
+            result = run_job(job, validate=True)
+        except (SimulationError, ResultValidationError) as exc:
             return ReplayOutcome(
                 reproduced=(type(exc).__name__ == expected),
                 expected_type=expected, error=exc)
@@ -225,29 +239,3 @@ def replay_bundle(bundle: Union[str, Path, Dict[str, Any]],
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-
-
-def capture_job_failure(job, error: BaseException,
-                        forensics_dir: Union[str, Path],
-                        stats: Optional[Dict[str, float]] = None,
-                        integrity: Optional[IntegrityConfig] = None,
-                        resources: Optional[Dict[str, Any]] = None) -> Path:
-    """Bundle a harness-level failure (e.g. result validation or a
-    resource-budget breach) of a :class:`~repro.harness.parallel.Job` —
-    no live simulator needed."""
-    path = write_bundle(
-        forensics_dir,
-        error=error,
-        names=job.names,
-        config=job.config,
-        scale=job.scale,
-        warps_per_sm=job.warps_per_sm,
-        seed=job.seed,
-        max_events=job.max_events,
-        integrity=integrity,
-        stats=stats,
-        label=job.label,
-        resources=resources,
-    )
-    error.bundle_path = str(path)
-    return path

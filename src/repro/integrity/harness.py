@@ -90,7 +90,7 @@ class IntegrityHarness:
                 and self.config.forensics_dir is not None):
             try:
                 exc.bundle_path = str(self.capture(exc))
-            except OSError:
+            except (OSError, ValueError):
                 pass  # forensics must never mask the original failure
         for pws in self._attached_tracers:
             pws.tracer = None
@@ -134,25 +134,38 @@ class IntegrityHarness:
     # Forensics
     # ------------------------------------------------------------------
     def capture(self, error: BaseException):
-        """Write a replayable bundle for ``error`` and return its path."""
+        """Write a replayable bundle for ``error`` and return its path.
+
+        The bundle marks its job replayable only when one
+        :class:`~repro.harness.parallel.Job` describes the run exactly:
+        every tenant an unmodified suite benchmark, all at one scale,
+        each run to one completed execution.
+        """
+        from repro.harness.parallel import Job
+        from repro.workloads.suite import BENCHMARKS
+
         manager = self.manager
-        names = [tenant.workload.name for tenant in manager.tenants]
-        scales = {getattr(tenant.workload, "scale", None)
-                  for tenant in manager.tenants}
+        workloads = [tenant.workload for tenant in manager.tenants]
+        scales = {getattr(workload, "scale", None) for workload in workloads}
         scale = scales.pop() if len(scales) == 1 else None
+        replayable = (
+            scale is not None and manager.min_executions == 1
+            and all(w.name in BENCHMARKS
+                    and getattr(w, "spec", None) == BENCHMARKS[w.name]
+                    for w in workloads))
+        job = Job(label=self.label or "",
+                  names=tuple(workload.name for workload in workloads),
+                  config=manager.config, scale=scale,
+                  warps_per_sm=manager.warps_per_sm, seed=manager.rng.seed,
+                  max_events=manager.max_events)
         return write_bundle(
             self.config.forensics_dir,
             error=error,
-            names=names,
-            config=manager.config,
-            scale=scale,
-            warps_per_sm=manager.warps_per_sm,
-            seed=manager.rng.seed,
-            max_events=manager.max_events,
+            job=job,
+            replayable=replayable,
             integrity=self.config,
             stats=manager.sim.stats.snapshot(),
             sim_now=manager.sim.now,
             events_fired=self.events_seen,
             trace_records=_trace_payload(self._subsystems),
-            label=self.label,
         )

@@ -11,8 +11,6 @@ under DWS it is bounded by the in-service steals, matching the paper's
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.tenancy.manager import RunResult
 
 
@@ -20,11 +18,6 @@ def interleaving_of(result: RunResult, tenant_id: int,
                     subsystem: str = "pws") -> float:
     """Mean interleaving experienced by one tenant's walks."""
     return result.stat(f"{subsystem}.interleave.tenant{tenant_id}.mean")
-
-
-def interleaving_by_tenant(result: RunResult,
-                           subsystem: str = "pws") -> Dict[int, float]:
-    return {t: interleaving_of(result, t, subsystem) for t in result.tenant_ids}
 
 
 def mean_interleaving(result: RunResult, subsystem: str = "pws") -> float:

@@ -40,9 +40,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.campaign import job_from_dict, job_to_dict
 from repro.harness.fsutil import atomic_write_json
-from repro.harness.parallel import Job, run_jobs
+from repro.harness.parallel import Job, job_from_dict, job_to_dict, run_jobs
 from repro.harness.resources import HostPressureMonitor, PressurePolicy
 from repro.harness.result_cache import ResultCache, job_key
 from repro.harness.supervision import (OUTCOME_OK, SupervisionPolicy,
@@ -100,7 +99,7 @@ class ServeManifest:
         for key, data in sorted(pending.items()):
             try:
                 jobs.append((str(key), job_from_dict(data)))
-            except (ValueError, KeyError, TypeError):
+            except ValueError:
                 continue  # lost work, not a wedged restart
         return jobs
 

@@ -11,8 +11,9 @@ executions."
 every tenant's warp streams, relaunches early finishers with fresh
 streams, stops when every tenant has at least one completed execution,
 and packages per-tenant IPC plus the subsystem statistics into a
-:class:`RunResult`.  :func:`collector_quiet` is the scope a caller builds,
-runs and drops one simulation in.
+:class:`RunResult`.  :func:`collector_quiet` is the scope
+:func:`repro.harness.parallel.simulate` builds, runs and drops every
+simulation in.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ from repro.engine.simulator import EventBudgetExceeded, Simulator
 from repro.gpu.gpu import Gpu
 from repro.integrity.config import IntegrityConfig, active_config
 from repro.tenancy.tenant import Tenant
+
+#: The event budget a simulation gets unless it asks for another: the
+#: default of every :class:`~repro.harness.parallel.Job` (seed studies
+#: included), of :class:`~repro.harness.runner.Session` and of
+#: ``characterize``.  A run that exhausts it raises
+#: :class:`~repro.engine.simulator.EventBudgetExceeded`.
+DEFAULT_MAX_EVENTS = 200_000_000
 
 
 @dataclass
@@ -142,7 +150,7 @@ class MultiTenantManager:
         tenants: Sequence[Tenant],
         warps_per_sm: int = 4,
         seed: int = 0,
-        max_events: int = 100_000_000,
+        max_events: int = DEFAULT_MAX_EVENTS,
         min_executions: int = 1,
         integrity: Optional[IntegrityConfig] = None,
         label: Optional[str] = None,

@@ -335,10 +335,6 @@ class PageWalkSubsystem:
     def busy_walkers(self) -> int:
         return sum(1 for w in self.walkers if w.busy)
 
-    def inflight_for(self, tenant_id: int) -> int:
-        """In-flight walks (queued, overflowed or in service) of a tenant."""
-        return sum(1 for (t, _vpn) in self._inflight if t == tenant_id)
-
     def inflight_by_tenant(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
         for (t, _vpn) in self._inflight:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine.config import GpuConfig
-from repro.tenancy.manager import MultiTenantManager
+from repro.harness.parallel import simulate
+from repro.tenancy.manager import DEFAULT_MAX_EVENTS
 from repro.tenancy.tenant import Tenant
 from repro.workloads.base import Workload
 
@@ -64,12 +65,9 @@ def characterize(
     seed: int = 0,
 ) -> Characterization:
     """Run ``workload`` alone on the baseline and measure its MPMI."""
-    cfg = config or GpuConfig.baseline()
-    manager = MultiTenantManager(
-        cfg, [Tenant(0, workload)], warps_per_sm=warps_per_sm, seed=seed,
-        min_executions=2,
-    )
-    result = manager.run()
+    result = simulate(config or GpuConfig.baseline(), [Tenant(0, workload)],
+                      warps_per_sm=warps_per_sm, seed=seed,
+                      max_events=DEFAULT_MAX_EVENTS, min_executions=2)
     executions = result.tenants[0].executions
     warm = executions[-1]
     return Characterization(

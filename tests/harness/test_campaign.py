@@ -144,46 +144,3 @@ class TestRunCampaign:
         text = report.summary()
         assert "executed" in text
         assert f"{report.simulated} simulation(s)" in text
-
-
-class TestJobSerialization:
-    def job(self):
-        from repro.engine.config import GpuConfig
-        from repro.harness.parallel import Job
-
-        config = (GpuConfig.baseline(num_sms=2).with_policy("dwspp")
-                  .with_l2_tlb_entries(512).with_walker_count(8))
-        return Job(label="pair/cfg", names=("HS", "MM"), config=config,
-                   scale=0.25, warps_per_sm=2, seed=3, max_events=12345)
-
-    def test_roundtrip_preserves_identity(self):
-        from repro.harness.campaign import job_from_dict, job_to_dict
-        from repro.harness.result_cache import job_key
-
-        job = self.job()
-        clone = job_from_dict(job_to_dict(job))
-        assert clone == job
-        # The property the serve manifest actually relies on: the clone
-        # addresses the same cache entry.
-        assert job_key(clone) == job_key(job)
-
-    def test_dict_is_json_portable(self):
-        import json
-
-        from repro.harness.campaign import job_from_dict, job_to_dict
-
-        job = self.job()
-        wire = json.loads(json.dumps(job_to_dict(job)))
-        assert job_from_dict(wire) == job
-
-    def test_malformed_input_raises_cleanly(self):
-        import pytest as _pytest
-
-        from repro.harness.campaign import job_from_dict, job_to_dict
-
-        with _pytest.raises((ValueError, KeyError, TypeError)):
-            job_from_dict({"label": "x"})
-        broken = job_to_dict(self.job())
-        broken["scale"] = "not-a-number"
-        with _pytest.raises((ValueError, KeyError, TypeError)):
-            job_from_dict(broken)

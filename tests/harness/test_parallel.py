@@ -1,6 +1,7 @@
 """Tests for the parallel batch runner."""
 
 import dataclasses
+import json
 import os
 import threading
 import time
@@ -15,6 +16,8 @@ from repro.harness.parallel import (
     Job,
     WorkerPool,
     expected_cost,
+    job_from_dict,
+    job_to_dict,
     pair_jobs,
     run_jobs,
 )
@@ -55,6 +58,43 @@ class TestJobConstruction:
             run_jobs([tiny_job("same"), tiny_job("same")], workers=1)
 
 
+class TestJobSerialization:
+    def job(self):
+        config = (GpuConfig.baseline(num_sms=2).with_policy("dwspp")
+                  .with_l2_tlb_entries(512).with_walker_count(8))
+        return Job(label="pair/cfg", names=("HS", "MM"), config=config,
+                   scale=0.25, warps_per_sm=2, seed=3, max_events=12345)
+
+    def test_roundtrip_preserves_identity(self):
+        job = self.job()
+        clone = job_from_dict(job_to_dict(job))
+        assert clone == job
+        # The property the serve manifest actually relies on: the clone
+        # addresses the same cache entry.
+        assert job_key(clone) == job_key(job)
+
+    def test_dict_is_json_portable(self):
+        job = self.job()
+        wire = json.loads(json.dumps(job_to_dict(job)))
+        assert job_from_dict(wire) == job
+
+    def test_malformed_input_raises_cleanly(self):
+        # Manifests and bundles are input from outside the program:
+        # every malformation is a ValueError, never a KeyError/TypeError.
+        with pytest.raises(ValueError):
+            job_from_dict({"label": "x"})
+        broken = job_to_dict(self.job())
+        broken["scale"] = "not-a-number"
+        with pytest.raises(ValueError):
+            job_from_dict(broken)
+        broken = job_to_dict(self.job())
+        del broken["config"]["l2_tlb"]
+        with pytest.raises(ValueError):
+            job_from_dict(broken)
+        with pytest.raises(ValueError):
+            job_from_dict(["not", "a", "dict"])
+
+
 class TestSerialExecution:
     def test_results_keyed_by_label(self):
         results = run_jobs([tiny_job("a"), tiny_job("b", policy="dws")],
@@ -91,7 +131,7 @@ class TestParallelMatchesSerial:
 class TestMaxEvents:
     def test_max_events_reaches_the_simulator(self, tmp_path):
         # An impossible budget must trip the manager's exhaustion guard
-        # — proof the field actually threads through _execute.
+        # — proof the field actually threads through run_job.
         cache = ResultCache(tmp_path)
         stats = SupervisionStats()
         assert run_jobs([tiny_job("cut", max_events=10)], workers=1,
@@ -135,14 +175,14 @@ class TestIncrementalStores:
                                                      monkeypatch):
         # Completed jobs must already be on disk when a later job dies.
         cache = ResultCache(tmp_path)
-        real_execute = parallel_module._execute
+        real_run_job = parallel_module.run_job
 
         def fail_on_b(job, validate=False):
             if job.label == "b":
                 raise RuntimeError("worker died")
-            return real_execute(job, validate)
+            return real_run_job(job, validate)
 
-        monkeypatch.setattr(parallel_module, "_execute", fail_on_b)
+        monkeypatch.setattr(parallel_module, "run_job", fail_on_b)
         jobs = [tiny_job("a"), tiny_job("b", pair="FFT.HS")]
         stats = SupervisionStats()
         once = SupervisionPolicy(retry=RetryPolicy(max_attempts=1))
@@ -153,7 +193,7 @@ class TestIncrementalStores:
         assert cache.stores == 1  # "a" survived the crash
         assert cache.misses == 2
 
-        monkeypatch.setattr(parallel_module, "_execute", real_execute)
+        monkeypatch.setattr(parallel_module, "run_job", real_run_job)
         rerun = run_jobs(jobs, workers=1, cache=cache)
         assert cache.hits == 1  # only "b" was re-simulated
         assert set(rerun) == {"a", "b"}

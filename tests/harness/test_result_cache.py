@@ -172,7 +172,7 @@ class TestRunJobsCache:
         def boom(job):
             raise AssertionError(f"simulated on a warm cache: {job.label}")
 
-        monkeypatch.setattr(parallel_module, "_execute", boom)
+        monkeypatch.setattr(parallel_module, "run_job", boom)
         warm = run_jobs(jobs, workers=1, cache=cache)
         assert set(warm) == set(cold)
         for label in cold:
@@ -246,7 +246,7 @@ class TestEventBudget:
         def boom(*_args, **_kwargs):
             raise AssertionError("simulated a job the cache answers")
 
-        monkeypatch.setattr(parallel_module, "_execute", boom)
+        monkeypatch.setattr(parallel_module, "run_job", boom)
         hits = cache.hits
         answer = run_jobs([job], workers=1, cache=cache)["job"]
         assert cache.hits == hits + 1

@@ -9,6 +9,10 @@ from repro.harness.seeds import (
     compare_policies,
     seed_study,
 )
+from repro.tenancy.manager import MultiTenantManager
+from repro.tenancy.tenant import Tenant
+from repro.workloads.pairs import split_pair
+from repro.workloads.suite import benchmark
 
 SCALE = 0.05
 
@@ -65,3 +69,32 @@ class TestPairedComparison:
         assert comp.label_b == "dws"
         assert len(comp.ratios) == 2
         assert all(r > 0 for r in comp.ratios)
+
+
+def hand_built_run(pair, config, scale, warps_per_sm, seed):
+    """The reference: one manager built by hand over plain suite
+    workloads, as seed studies ran before they ran jobs."""
+    tenants = [Tenant(i, benchmark(n, scale=scale))
+               for i, n in enumerate(split_pair(pair))]
+    return MultiTenantManager(config, tenants, warps_per_sm=warps_per_sm,
+                              seed=seed).run()
+
+
+def fingerprint(result):
+    """Everything a run measured, as one comparable value."""
+    return (result.total_cycles, result.events_fired,
+            tuple(sorted(result.stats.items())),
+            tuple((t, s.instructions, s.cycles, s.completed_executions)
+                  for t, s in sorted(result.tenants.items())))
+
+
+@pytest.mark.parametrize("policy", ["baseline", "dws"])
+@pytest.mark.parametrize("pair", ["HS.MM", "GUPS.SAD"])
+def test_seed_study_matches_hand_built_runs(pair, policy):
+    config = GpuConfig.baseline().with_policy(policy)
+    seeds = (0, 1)
+    stats = seed_study(pair, config, seeds=seeds, scale=SCALE,
+                       warps_per_sm=2, metric=fingerprint)
+    assert stats.values == tuple(
+        fingerprint(hand_built_run(pair, config, SCALE, 2, seed))
+        for seed in seeds)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,14 @@ from repro.engine.simulator import (
     WalkAccountingError,
 )
 from repro.harness.faults import FaultSpec, clear_faults, install_faults
+from repro.harness.parallel import Job, run_jobs
+from repro.harness.supervision import SupervisionStats
 from repro.integrity import (
     BUNDLE_FORMAT,
     IntegrityConfig,
     InvariantViolation,
+    clear_install,
+    install,
     load_bundle,
     replay_bundle,
     write_bundle,
@@ -27,7 +32,6 @@ from repro.workloads.suite import benchmark
 
 @pytest.fixture(autouse=True)
 def _clean_env():
-    from repro.integrity import clear_install
     clear_faults()
     clear_install()
     yield
@@ -89,12 +93,12 @@ def test_bundle_write_load_round_trip(tmp_path):
     config = GpuConfig.baseline(num_sms=4)
     error = InvariantViolation("tenant 0: off by one", probe="pws.occupancy",
                                sim_time=123)
+    job = Job(label="HS.MM/dws", names=("HS", "MM"), config=config,
+              scale=0.04, warps_per_sm=2, seed=7, max_events=1000)
     path = write_bundle(
-        tmp_path, error=error, names=("HS", "MM"), config=config,
-        scale=0.04, warps_per_sm=2, seed=7, max_events=1000,
+        tmp_path, error=error, job=job,
         integrity=IntegrityConfig(audit="full"),
-        stats={"pws.walks.tenant0": 5.0}, sim_now=123, events_fired=456,
-        label="HS.MM/dws")
+        stats={"pws.walks.tenant0": 5.0}, sim_now=123, events_fired=456)
     assert path.name.endswith(".forensics.json")
     bundle = load_bundle(path)
     assert bundle["format"] == BUNDLE_FORMAT
@@ -206,12 +210,164 @@ def test_cli_replay_exit_3_when_not_reproducing(tmp_path, capsys):
     # A bundle recording a failure that a clean rerun does not hit.
     config = GpuConfig.baseline(num_sms=4)
     error = InvariantViolation("phantom", probe="pws.occupancy")
-    path = write_bundle(tmp_path, error=error, names=("HS", "MM"),
-                        config=config, scale=0.04, warps_per_sm=2, seed=7,
-                        max_events=100_000_000)
+    job = Job(label="HS.MM", names=("HS", "MM"), config=config,
+              scale=0.04, warps_per_sm=2, seed=7, max_events=100_000_000)
+    path = write_bundle(tmp_path, error=error, job=job)
     from repro.cli import main
     assert main(["replay", str(path)]) == 3
     assert "did not reproduce" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Replay runs the Job path: every failure run_jobs records replays, and
+# a bundle no job describes is refused
+# ----------------------------------------------------------------------
+def _small_job(max_rss_mb=None):
+    return Job(label="HS.MM/dws", names=("HS", "MM"),
+               config=GpuConfig.baseline(num_sms=4).with_policy("dws"),
+               scale=0.04, warps_per_sm=2, seed=7, max_rss_mb=max_rss_mb)
+
+
+def _bundles(directory):
+    return sorted(directory.glob("*.forensics.json"))
+
+
+def _replay_cli(path, capsys):
+    from repro.cli import main
+
+    code = main(["replay", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out + captured.err
+
+
+def _run_jobs_bundle(directory, job, validate=False):
+    """Run ``job`` through run_jobs with forensics on; its bundle."""
+    stats = SupervisionStats()
+    install(IntegrityConfig(forensics_dir=str(directory)))
+    assert run_jobs([job], workers=1, stats=stats, validate=validate) == {}
+    clear_install()
+    clear_faults()
+    assert _bundles(directory) == [Path(stats.forensics[job.label])]
+    return stats.forensics[job.label]
+
+
+def test_cli_replay_reproduces_a_validation_failure(tmp_path, monkeypatch,
+                                                    capsys):
+    from repro.harness import parallel
+    from repro.harness.validate import ValidationReport
+
+    def reject(result):
+        return ValidationReport(violations=["seeded: walks do not balance"],
+                                checks_run=1)
+
+    # Patched for the capture and the replay alike.
+    monkeypatch.setattr(parallel, "validate_result", reject)
+    path = _run_jobs_bundle(tmp_path, _small_job(), validate=True)
+    code, text = _replay_cli(path, capsys)
+    assert code == 0
+    assert "reproduced: ResultValidationError" in text
+    assert _bundles(tmp_path) == [Path(path)]
+
+
+def test_cli_replay_reproduces_a_budget_breach(tmp_path, capsys):
+    install_faults([FaultSpec(kind="rss_spike", rss_mb=4096.0)])
+    path = _run_jobs_bundle(tmp_path, _small_job(max_rss_mb=256.0))
+    code, text = _replay_cli(path, capsys)
+    assert code == 0
+    assert "reproduced: ResourceBudgetExceeded" in text
+    assert _bundles(tmp_path) == [Path(path)]
+    assert load_bundle(path)["job"]["max_rss_mb"] == 256.0
+
+
+def _corruption_bundle(directory, run):
+    """The bundle of ``run`` dying under a seeded corruption."""
+    install_faults([FaultSpec(kind="corrupt", after_events=150,
+                              target="walks")])
+    install(IntegrityConfig(audit="full", forensics_dir=str(directory)))
+    with pytest.raises(InvariantViolation) as excinfo:
+        run()
+    clear_install()
+    clear_faults()
+    return excinfo.value.bundle_path
+
+
+def test_cli_replay_refuses_a_custom_footprint_bundle(tmp_path, capsys):
+    from repro.harness.runner import Session
+    from repro.workloads.base import Workload
+
+    session = Session(scale=0.04, warps_per_sm=2)
+    plain = session.workload("HS")
+    enhanced = Workload(dataclasses.replace(
+        plain.spec, footprint_bytes=plain.spec.footprint_bytes * 16),
+        plain.scale)
+    config = GpuConfig.baseline(num_sms=4).with_page_size_bits(16)
+    path = _corruption_bundle(
+        tmp_path, lambda: session.run_custom("HS@x16", [enhanced], config))
+    code, text = _replay_cli(path, capsys)
+    assert code == 2
+    assert "cannot be replayed" in text
+    assert _bundles(tmp_path) == [Path(path)]
+    assert load_bundle(path)["job"]["replayable"] is False
+
+
+def test_cli_replay_refuses_a_characterize_bundle(tmp_path, capsys):
+    from repro.workloads.characterize import characterize
+
+    path = _corruption_bundle(tmp_path, lambda: characterize(
+        benchmark("HS", scale=0.04), GpuConfig.baseline(num_sms=4),
+        warps_per_sm=2))
+    code, text = _replay_cli(path, capsys)
+    assert code == 2
+    assert "cannot be replayed" in text
+    assert load_bundle(path)["job"]["replayable"] is False
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("warps_per_sm", None, "malformed job description"),
+    ("scale", "large", "malformed job description"),
+    ("names", 5, "lists no workload names"),
+])
+def test_cli_replay_rejects_a_malformed_job_section(tmp_path, capsys,
+                                                    field, value, message):
+    path = write_bundle(tmp_path, error=InvariantViolation("phantom"),
+                        job=_small_job())
+    bundle = json.loads(path.read_text())
+    if value is None:
+        del bundle["job"][field]
+    else:
+        bundle["job"][field] = value
+    path.write_text(json.dumps(bundle))
+    code, text = _replay_cli(path, capsys)
+    assert code == 2
+    assert message in text
+
+
+def test_cli_replay_rejects_a_malformed_environment(tmp_path, capsys):
+    path = write_bundle(tmp_path, error=InvariantViolation("phantom"),
+                        job=_small_job())
+    bundle = json.loads(path.read_text())
+    bundle["environment"] = ["REPRO_FAULTS"]
+    path.write_text(json.dumps(bundle))
+    code, text = _replay_cli(path, capsys)
+    assert code == 2
+    assert "environment is not a map of strings" in text
+
+
+def test_bundle_from_before_the_replayable_field_still_replays(tmp_path):
+    install_faults([FaultSpec(kind="corrupt", after_events=150,
+                              target="busy")])
+    manager = _manager(IntegrityConfig(audit="full",
+                                       forensics_dir=str(tmp_path)))
+    with pytest.raises(InvariantViolation) as excinfo:
+        manager.run()
+    clear_faults()
+    bundle = load_bundle(excinfo.value.bundle_path)
+    assert bundle["job"]["replayable"] is True
+    # The job section as bundles wrote it before: no replayable flag,
+    # no RSS budget, and no label for a run outside the Job path.
+    del bundle["job"]["replayable"], bundle["job"]["max_rss_mb"]
+    bundle["job"]["label"] = None
+    assert replay_bundle(bundle).reproduced
 
 
 def test_cli_restores_prior_integrity_env(monkeypatch):

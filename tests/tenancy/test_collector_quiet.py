@@ -18,9 +18,12 @@ from repro.gpu.gpu import Gpu
 from repro.harness import parallel
 from repro.harness.parallel import Job
 from repro.harness.runner import Session
+from repro.harness.seeds import compare_policies, seed_study
+from repro.integrity import InvariantViolation, replay_bundle, write_bundle
 from repro.integrity.config import IntegrityConfig
 from repro.tenancy.manager import MultiTenantManager, collector_quiet
 from repro.tenancy.tenant import Tenant
+from repro.workloads.characterize import characterize
 from repro.workloads.suite import benchmark
 
 SCALE = 0.05
@@ -58,7 +61,7 @@ def passes():
 
 class TestGraphIsFreed:
     def test_execute_leaves_no_simulation_behind(self, passes):
-        parallel._execute(small_job())
+        parallel.run_job(small_job())
         assert simulation_objects() == []
 
     @pytest.mark.parametrize("run", [
@@ -73,6 +76,25 @@ class TestGraphIsFreed:
         assert session.simulations_executed == 1
         assert simulation_objects() == []
 
+    @pytest.mark.parametrize("run", [
+        lambda cfg, _dir: seed_study("HS.MM", cfg, seeds=(0, 1),
+                                     scale=SCALE, warps_per_sm=WARPS),
+        lambda cfg, _dir: compare_policies("HS.MM", cfg,
+                                           cfg.with_policy("dws"),
+                                           seeds=(0,), scale=SCALE,
+                                           warps_per_sm=WARPS),
+        lambda cfg, _dir: characterize(benchmark("HS", scale=SCALE), cfg,
+                                       warps_per_sm=WARPS),
+        lambda cfg, directory: replay_bundle(write_bundle(
+            directory, error=InvariantViolation("phantom"),
+            job=small_job())),
+    ], ids=["seed_study", "compare_policies", "characterize",
+            "replay_bundle"])
+    def test_studies_and_replay_leave_no_simulation_behind(
+            self, passes, tmp_path, run):
+        run(GpuConfig.baseline(num_sms=2), tmp_path)
+        assert simulation_objects() == []
+
     def test_one_young_pass_per_scope(self, passes):
         with collector_quiet():
             assert not gc.isenabled()
@@ -82,19 +104,19 @@ class TestGraphIsFreed:
 
 class TestCollectorState:
     def test_reenabled_after_a_completed_job(self):
-        parallel._execute(small_job())
+        parallel.run_job(small_job())
         assert gc.isenabled()
 
     def test_reenabled_after_an_exhausted_event_budget(self):
         with pytest.raises(EventBudgetExceeded):
-            parallel._execute(small_job(max_events=100))
+            parallel.run_job(small_job(max_events=100))
         assert gc.isenabled()
 
     def test_caller_disabled_collector_is_left_alone(self, passes):
         gc.disable()
         try:
             passes.clear()  # paused: any pass now is the scope's
-            parallel._execute(small_job())
+            parallel.run_job(small_job())
             assert not gc.isenabled()
             assert passes == []
         finally:
@@ -103,7 +125,7 @@ class TestCollectorState:
 
 def test_execute_matches_a_plain_run():
     job = small_job("GUPS.SAD")
-    _label, result = parallel._execute(job)
+    result = parallel.run_job(job)
     plain = MultiTenantManager(
         job.config,
         [Tenant(i, benchmark(name, scale=job.scale))

@@ -9,7 +9,13 @@ import pytest
 
 from repro.engine.config import GpuConfig
 from repro.workloads import benchmark, benchmark_names
-from repro.workloads.characterize import band_of, characterize
+from repro.tenancy.manager import MultiTenantManager
+from repro.tenancy.tenant import Tenant
+from repro.workloads.characterize import (
+    Characterization,
+    band_of,
+    characterize,
+)
 from repro.workloads.suite import BENCHMARKS
 
 SMALL_SCALE = 0.5  # keep test-suite runtime in check
@@ -52,3 +58,27 @@ def test_full_suite_banding(name):
         f"{name}: measured MPMI {c.mpmi:.1f}, expected band "
         f"{BENCHMARKS[name].category}"
     )
+
+
+def hand_built_characterization(workload, config):
+    """The reference: one manager built by hand for two executions, as
+    characterize ran before it shared the harness's simulate()."""
+    result = MultiTenantManager(config, [Tenant(0, workload)],
+                                min_executions=2).run()
+    executions = result.tenants[0].executions
+    return Characterization(
+        name=workload.name,
+        instructions=executions[-1].instructions,
+        l2_tlb_misses=executions[-1].l2_tlb_misses,
+        ipc=executions[-1].ipc,
+        cold_mpmi=executions[0].mpmi,
+    )
+
+
+@pytest.mark.parametrize("policy", ["baseline", "dws"])
+@pytest.mark.parametrize("name", ["HS", "MM", "GUPS", "SAD"])
+def test_matches_hand_built_run(name, policy):
+    config = GpuConfig.baseline().with_policy(policy)
+    workload = benchmark(name, scale=0.05)
+    assert characterize(workload, config) == hand_built_characterization(
+        workload, config)
